@@ -6,7 +6,7 @@ class NhaqoError(Exception):
 
 
 class ConvergenceFailure(NhaqoError):
-    """The dense eigensolver did not converge or produced inconsistent systems."""
+    """The dense eigensolver did not converge."""
 
 
 class DefectiveSystem(NhaqoError):

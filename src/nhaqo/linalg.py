@@ -1,17 +1,19 @@
 """Dense complex linear algebra for small non-Hermitian operators.
 
-Right and left eigensystems are computed independently (the left one from
-the conjugate-transposed matrix), sorted by (real, imaginary) part and
-paired by eigenvalue proximity.  Pairs whose left/right eigenvectors have
-vanishing overlap are flagged as coalesced; the remaining pairs can be
-rescaled into a bi-orthonormal system with ``left_vectors @ right_vectors``
-equal to the identity.  A series-based matrix exponential serves as the
-reference propagator for integration tests.
+One eigendecomposition gives both eigensystems.  The right eigenvectors are
+the columns of the matrix R that LAPACK returns, sorted by the (real,
+imaginary) part of their eigenvalues; the left eigenvectors are the rows of
+R^-1, which are bi-orthogonal to the columns and paired with them by
+construction.  The unit-normalized overlap |<left|right>| of a pair is the
+reciprocal condition number of its eigenvalue; pairs where it vanishes are
+flagged as coalesced, and the remaining ones can be rescaled into a
+bi-orthonormal system with ``left_vectors @ right_vectors`` equal to the
+identity.  A series-based matrix exponential serves as the reference
+propagator for integration tests.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +24,6 @@ from .errors import ConvergenceFailure, DefectiveSystem, ScalingOverflow
 DEFECT_TOLERANCE = 1e-6
 #: biorthonormalize refuses when more than this fraction of pairs coalesces.
 MAX_DEFECT_FRACTION = 0.5
-#: eigenvalue mismatch allowed between the two decompositions, times maxnorm.
-PAIRING_GUARD = 1e-6
 
 _EXPM_THETA = 1.0
 _EXPM_MAX_SQUARINGS = 64
@@ -71,7 +71,6 @@ class EigenSystem:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     defect_flags: np.ndarray
-    biorthonormal: bool = False
 
     @property
     def dim(self) -> int:
@@ -80,6 +79,12 @@ class EigenSystem:
 
 def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
+
+
+def sorted_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues alone, in the (Re, Im) order of :func:`eig_nonhermitian`."""
+    vals = np.linalg.eigvals(ensure_operator(m))
+    return vals[_sort_order(vals)]
 
 
 def _fix_column_phases(cols: np.ndarray) -> np.ndarray:
@@ -93,99 +98,53 @@ def _fix_column_phases(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fix_row_phases(rows: np.ndarray) -> np.ndarray:
-    return _fix_column_phases(rows.T).T
+def _unit_inverse_rows(right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalized rows of ``right``^-1 and their overlaps with its unit columns.
 
-
-def _clusters(values: np.ndarray, tol: float) -> list[range]:
-    """Consecutive groups of sorted values separated by at most ``tol``."""
-    groups: list[range] = []
-    start = 0
-    n = len(values)
-    for i in range(1, n + 1):
-        if i == n or abs(values[i] - values[i - 1]) > tol:
-            groups.append(range(start, i))
-            start = i
-    return groups
-
-
-def _align_left_cluster(rows_l: np.ndarray, cols_r: np.ndarray, idx: range) -> list[int]:
-    """Order the left members of a degenerate cluster so overlaps peak on the diagonal."""
-    ids = list(idx)
-    k = len(ids)
-    if k == 1:
-        return ids
-    # ov[q, p] = |left_q . right_p| within the cluster
-    ov = np.abs(rows_l[ids] @ cols_r[:, ids])
-    if k <= 6:
-        perms = itertools.permutations(range(k))
-        best = max(perms, key=lambda p: sum(ov[p[j], j] for j in range(k)))
-        return [ids[best[j]] for j in range(k)]
-    # large accidental clusters: greedy best-overlap assignment
-    taken: list[int] = []
-    free = set(range(k))
-    for p in range(k):
-        q = max(free, key=lambda qq: ov[qq, p])
-        taken.append(ids[q])
-        free.discard(q)
-    return taken
+    Row i of the inverse has product 1 with column i, so its unit-normalized
+    overlap is 1/|row i|.  Each row is scaled by its largest entry before its
+    norm is taken, so a nearly singular ``right`` (entries of the inverse up
+    to ~1e292) does not overflow.  An exactly singular ``right`` has no dual
+    rows: every pair gets overlap 0 and the conjugated right column in place
+    of its left row.
+    """
+    try:
+        inv = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return right.conj().T, np.zeros(right.shape[0])
+    peak = np.max(np.abs(inv), axis=1)
+    rows = inv / peak[:, None]
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / norms[:, None], 1.0 / peak / norms
 
 
 def eig_nonhermitian(m) -> EigenSystem:
-    """Full eigendecomposition with independently computed left and right systems.
+    """Full eigendecomposition: eigenvalues with right and left eigenvectors.
 
     Eigenvalues are sorted ascending by real part (imaginary part breaks
     ties); right eigenvectors are unit-normalized with their largest entry
-    made real-positive.  Pairs whose left/right overlap vanishes are marked
-    in ``defect_flags``.
+    made real-positive.  Left eigenvectors are the unit-normalized rows of
+    the inverse of the right-vector matrix, so both come from one LAPACK
+    call.  Pairs whose unit-normalized overlap falls below
+    ``DEFECT_TOLERANCE`` are marked in ``defect_flags``.
 
     Raises
     ------
     ConvergenceFailure
-        If LAPACK does not converge or the two decompositions cannot be
-        matched within the pairing guard.
+        If LAPACK does not converge.
     """
     a = ensure_operator(m)
-    n = a.shape[0]
     try:
-        vals_r, vecs_r = np.linalg.eig(a)
-        vals_lh, vecs_lh = np.linalg.eig(a.conj().T)
+        vals, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
-            f"eigensolver failed: dim={n}, maxnorm={maxnorm(a):.6e}"
+            f"eigensolver failed: dim={a.shape[0]}, maxnorm={maxnorm(a):.6e}"
         ) from exc
-
-    vals_l = vals_lh.conj()
-    rows_l = vecs_lh.conj().T  # row i satisfies row @ a = vals_l[i] * row
-
-    ro = _sort_order(vals_r)
-    vals_r, vecs_r = vals_r[ro], vecs_r[:, ro]
-    lo = _sort_order(vals_l)
-    vals_l, rows_l = vals_l[lo], rows_l[lo]
-
-    guard = PAIRING_GUARD * max(maxnorm(a), np.finfo(float).tiny)
-    if np.max(np.abs(vals_l - vals_r)) > guard:
-        raise ConvergenceFailure(
-            f"left/right eigenvalues disagree beyond guard: dim={n}, "
-            f"maxnorm={maxnorm(a):.6e}"
-        )
-
-    # within near-degenerate clusters the two sorts may disagree; re-order the
-    # left members by overlap so each pair matches the same invariant direction
-    perm = np.arange(n)
-    for cluster in _clusters(vals_r, guard):
-        if len(cluster) > 1:
-            perm[list(cluster)] = _align_left_cluster(rows_l, vecs_r, cluster)
-    vals_l, rows_l = vals_l[perm], rows_l[perm]
-
-    vecs_r = vecs_r / np.linalg.norm(vecs_r, axis=0)
-    rows_l = rows_l / np.linalg.norm(rows_l, axis=1)[:, None]
-    vecs_r = _fix_column_phases(vecs_r)
-    rows_l = _fix_row_phases(rows_l)
-
-    overlaps = np.abs(np.einsum("ij,ji->i", rows_l, vecs_r))
-    flags = overlaps < DEFECT_TOLERANCE
-    return EigenSystem(vals_r, vecs_r, rows_l, flags, biorthonormal=False)
+    order = _sort_order(vals)
+    vals, right = vals[order], right[:, order]
+    right = _fix_column_phases(right / np.linalg.norm(right, axis=0))
+    left, overlaps = _unit_inverse_rows(right)
+    return EigenSystem(vals, right, left, overlaps < DEFECT_TOLERANCE)
 
 
 def biorthonormalize(
@@ -196,44 +155,25 @@ def biorthonormalize(
 ) -> EigenSystem:
     """Rescale left vectors so that ``<left_m|right_n> = delta_mn``.
 
-    Pairs whose unit-normalized overlap falls below ``defect_tolerance``
-    are flagged as coalesced, left unit-normalized, and excluded from the
-    delta_mn guarantee.
+    The left rows of :func:`eig_nonhermitian` are already orthogonal to
+    every other pair's right column, so a diagonal rescale suffices.  Pairs
+    whose unit-normalized overlap falls below ``defect_tolerance`` are
+    flagged as coalesced, keep their left vector unscaled, and are excluded
+    from the delta_mn guarantee.
 
     Raises
     ------
     DefectiveSystem
         If more than ``max_defect_fraction`` of all pairs coalesce.
     """
-    n = es.dim
-    right = es.right_vectors
-    left = es.left_vectors.astype(complex).copy()
-
-    lnorm = np.linalg.norm(left, axis=1)
-    rnorm = np.linalg.norm(right, axis=0)
+    left, right = es.left_vectors, es.right_vectors
     raw = np.einsum("ij,ji->i", left, right)
-    flags = (np.abs(raw) / np.maximum(lnorm * rnorm, np.finfo(float).tiny)) < defect_tolerance
-    if int(flags.sum()) > max_defect_fraction * n:
-        raise DefectiveSystem(f"{int(flags.sum())}/{n} eigenpairs coalesced")
-
-    scale = max(float(np.max(np.abs(es.eigenvalues))), np.finfo(float).tiny)
-    for cluster in _clusters(es.eigenvalues, PAIRING_GUARD * scale):
-        active = [i for i in cluster if not flags[i]]
-        if len(active) >= 2:
-            # joint solve kills cross-overlaps inside a degenerate cluster
-            block = left[active] @ right[:, active]
-            try:
-                left[active] = np.linalg.solve(block, left[active])
-            except np.linalg.LinAlgError:
-                flags[list(active)] = True
-                if int(flags.sum()) > max_defect_fraction * n:
-                    raise DefectiveSystem(
-                        f"{int(flags.sum())}/{n} eigenpairs coalesced"
-                    ) from None
-        elif len(active) == 1:
-            i = active[0]
-            left[i] = left[i] / (left[i] @ right[:, i])
-    return replace(es, left_vectors=left, defect_flags=flags, biorthonormal=True)
+    norms = np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
+    flags = np.abs(raw) / np.maximum(norms, np.finfo(float).tiny) < defect_tolerance
+    if int(flags.sum()) > max_defect_fraction * es.dim:
+        raise DefectiveSystem(f"{int(flags.sum())}/{es.dim} eigenpairs coalesced")
+    scale = np.where(flags, 1.0, raw)
+    return replace(es, left_vectors=left / scale[:, None], defect_flags=flags)
 
 
 def biorthonormal_eigensystem(m) -> EigenSystem:

@@ -132,23 +132,17 @@ def make_anneal_spec(h0, h1, schedule: Schedule, tau: float, n_qubits: int) -> A
     return AnnealSpec(a0, a1, schedule, float(tau), int(n_qubits))
 
 
-def total_hamiltonian(spec: AnnealSpec, s: float, driver_shift: float = 0.0) -> np.ndarray:
+def total_hamiltonian(spec: AnnealSpec, s: float) -> np.ndarray:
     """f0(s)*h0 + (f1(s) - i*f2(s))*h1 at dimensionless time s.
 
-    ``driver_shift`` adds -i*f2(s)*shift*identity, the uniform offset used
-    by the decaying-driver mode; it leaves all eigenvalue differences
-    untouched.  The result is Hermitian exactly when f2(s) = 0 and the
-    shift is inactive.
+    The result is Hermitian exactly when f2(s) = 0.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s={s} outside [0, 1]")
     f0 = spec.schedule.f0(s)
     f1 = spec.schedule.f1(s)
     f2 = spec.schedule.f2(s)
-    h = f0 * spec.h0 + (f1 - 1j * f2) * spec.h1
-    if driver_shift != 0.0 and f2 != 0.0:
-        h = h - 1j * (f2 * driver_shift) * np.eye(h.shape[0], dtype=complex)
-    return h
+    return f0 * spec.h0 + (f1 - 1j * f2) * spec.h1
 
 
 def _spin_values(n: int, qubit: int) -> np.ndarray:

@@ -155,13 +155,18 @@ def decompose_schedule_params(spec: AnnealSpec, basis: TwoLevelBasis) -> TwoLeve
 def gap_two_level(params: TwoLevelParams, j: float, g: float, delta: float) -> float:
     """Modulus gap of the reduced model at coupling j, drive g and decay delta.
 
-    For delta = 0 this reduces to 2*sqrt(g^2 - 2*g*j*cos(alpha) + j^2); it
-    vanishes exactly at an exceptional point (g = j*cos(alpha) with
-    g^2 + delta^2 = j^2).
+    The gap is 2*sqrt((j - g~ cos(alpha))^2 + (g~ sin(alpha))^2) with
+    g~ = g - i*delta; for delta = 0 this is 2*sqrt(g^2 - 2*g*j*cos(alpha) + j^2).
+    It vanishes exactly at an exceptional point (g = j*cos(alpha) with
+    g^2 + delta^2 = j^2).  Writing 1 - cos(alpha) as 2*sin(alpha/2)^2 keeps
+    the result relatively accurate at j ~ g and small alpha, where the
+    expanded radicand cancels.
     """
-    c = params.cos_alpha
-    rad = g * g - 2.0 * g * j * c + j * j - delta * delta - 2.0j * delta * (g - j * c)
-    return float(2.0 * abs(np.sqrt(complex(rad))))
+    gt = complex(g, -delta)
+    half = float(np.sin(0.5 * params.alpha))
+    a = (j - gt) + 2.0 * gt * half * half
+    b = gt * params.sin_alpha
+    return float(2.0 * abs(np.sqrt(a * a + b * b)))
 
 
 def two_level_gap(params: TwoLevelParams, schedule: Schedule, s: float) -> float:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimize import golden_section, local_minima_indices, refine_minimum, uniform_grid
+from ._minimize import local_minima_indices, refine_minimum, uniform_grid
 from .errors import ConvergenceFailure, DefectiveSystem, MultipleMinimaWarning
-from .linalg import biorthonormalize, eig_nonhermitian, maxnorm
+from .linalg import biorthonormalize, eig_nonhermitian, maxnorm, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_GRID_POINTS = 1001
@@ -47,14 +47,9 @@ class GapTrace:
     g_m: float = field(default=np.nan)
 
 
-def _sorted_eigenvalues(spec: AnnealSpec, s: float) -> np.ndarray:
-    vals = np.linalg.eigvals(total_hamiltonian(spec, s))
-    return vals[np.lexsort((vals.imag, vals.real))]
-
-
 def gap_at(spec: AnnealSpec, s: float) -> float:
     """Modulus gap |E_1 - E_0| of the two lowest-real-part eigenvalues."""
-    vals = _sorted_eigenvalues(spec, s)
+    vals = sorted_eigenvalues(total_hamiltonian(spec, s))
     if vals.shape[0] < 2:
         raise ValueError("gap needs dimension >= 2")
     return float(abs(vals[1] - vals[0]))
@@ -158,13 +153,8 @@ class ExceptionalPoint:
 
 
 def _ground_pair_overlap(spec: AnnealSpec, s: float) -> float:
-    vals, vecs = np.linalg.eig(total_hamiltonian(spec, s))
-    order = np.lexsort((vals.imag, vals.real))
-    v0 = vecs[:, order[0]]
-    v1 = vecs[:, order[1]]
-    v0 = v0 / np.linalg.norm(v0)
-    v1 = v1 / np.linalg.norm(v1)
-    return float(abs(np.vdot(v0, v1)))
+    right = eig_nonhermitian(total_hamiltonian(spec, s)).right_vectors
+    return float(abs(np.vdot(right[:, 0], right[:, 1])))
 
 
 def detect_exceptional_point(

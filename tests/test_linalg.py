@@ -1,5 +1,7 @@
 """Eigensystem pairing, bi-orthonormalization and the exponential propagator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from nhaqo.linalg import (
     is_hermitian,
     maxnorm,
 )
+from nhaqo.model import ising_anneal_spec, total_hamiltonian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -247,3 +250,46 @@ def test_defect_flags_are_local_to_the_coalesced_pair():
     ov = bi.left_vectors @ bi.right_vectors
     keep = ~bi.defect_flags
     assert np.allclose(ov[np.ix_(keep, keep)], np.eye(2), atol=1e-10)
+
+
+def test_one_lapack_decomposition_per_matrix(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    rng = np.random.default_rng(15)
+    for n in (2, 5, 16):
+        biorthonormal_eigensystem(random_complex(rng, n))
+    assert calls == [(2, 2), (5, 5), (16, 16)]
+
+
+def test_complex_symmetric_left_rows_are_transposed_right_columns():
+    # h0 is real diagonal and h1 real symmetric, so H(s) = H(s)^T and every
+    # left eigenvector is the transposed right one
+    spec = ising_anneal_spec(4, seed=3, delta0=0.5)
+    for s in (0.2, 0.5, 0.8):
+        es = eig_nonhermitian(total_hamiltonian(spec, s))
+        assert not es.defect_flags.any()
+        for i in range(es.dim):
+            assert abs(np.vdot(es.right_vectors[:, i], es.left_vectors[i])) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "m, flags",
+    [
+        ([[0, 1], [0, 0]], [True, True]),
+        (np.diag([1.0, 1.0], 1), [True, True, True]),  # right vectors exactly singular
+        (np.diag([1.0, 0.0, 0.0], 1) + np.diag([1.0, 1.0, 5.0, 9.0]), [True, True, False, False]),
+    ],
+)
+def test_jordan_blocks_flag_without_floating_point_warnings(m, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = eig_nonhermitian(m)
+    assert list(es.defect_flags) == flags
+    assert np.all(np.isfinite(es.left_vectors))
+    assert np.allclose(np.linalg.norm(es.left_vectors, axis=1), 1.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhaqo._minimize import golden_section
@@ -185,12 +185,21 @@ def test_gap_formula_vanishes_at_ep():
     st.floats(min_value=0.0, max_value=2.0),
     st.floats(min_value=0.0, max_value=np.pi),
 )
+@example(j=1.0, g=1.0, d=0.0, alpha=1e-9)
 def test_gap_formula_matches_eigensolver(j, g, d, alpha):
     params = TwoLevelParams.from_alpha(alpha)
     gt = g - 1j * d
     m = (j - gt * np.cos(alpha)) * PAULI_Z + gt * np.sin(alpha) * PAULI_X
     vals = np.linalg.eigvals(m)
     assert gap_two_level(params, j, g, d) == pytest.approx(abs(vals[1] - vals[0]), abs=1e-10)
+
+
+def test_gap_formula_relative_accuracy_at_small_angle():
+    # at j = g the gap is 4*g*sin(alpha/2); sin(alpha) = 2^(-n/2) puts large n here
+    for g in (0.5, 1.0, 3.0):
+        for alpha in np.logspace(-12, 0, 49):
+            gap = gap_two_level(TwoLevelParams.from_alpha(alpha), g, g, 0.0)
+            assert gap == pytest.approx(4.0 * g * np.sin(alpha / 2.0), rel=1e-12)
 
 
 def test_hermitian_consistency_gap_equals_two_r():
