@@ -21,7 +21,6 @@ from .linalg import (
     biorthonormal_eigensystem,
     biorthonormalize,
     eig_nonhermitian,
-    expm_apply,
 )
 from .model import (
     AnnealSpec,
@@ -78,7 +77,6 @@ __all__ = [
     "detect_exceptional_point",
     "eig_nonhermitian",
     "evolve",
-    "expm_apply",
     "find_crossover",
     "gap_two_level",
     "hermitian_criterion_lhs",

@@ -359,7 +359,7 @@ def run_gap_trace(cfg: ExperimentConfig) -> str:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MultipleMinimaWarning)
         trace = trace_gap(spec, cfg.grid_points)
-    ep = detect_exceptional_point(spec, cfg.grid_points)
+    ep = detect_exceptional_point(spec, cfg.grid_points, trace=trace)
     columns = ["s", "re_e0", "im_e0", "re_e1", "im_e1", "gap"]
     rows = []
     for snap in trace.snapshots:

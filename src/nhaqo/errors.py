@@ -13,10 +13,6 @@ class DefectiveSystem(NhaqoError):
     """Too many eigenpairs coalesced; the caller sits at or near an exceptional point."""
 
 
-class ScalingOverflow(NhaqoError):
-    """Matrix exponential would need more squarings than the configured budget."""
-
-
 class DuplicateCoupling(NhaqoError):
     """The same qubit pair appears twice in an Ising coupling list."""
 

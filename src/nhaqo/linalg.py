@@ -8,8 +8,9 @@ construction.  The unit-normalized overlap |<left|right>| of a pair is the
 reciprocal condition number of its eigenvalue; pairs where it vanishes are
 flagged as coalesced, and the remaining ones can be rescaled into a
 bi-orthonormal system with ``left_vectors @ right_vectors`` equal to the
-identity.  A series-based matrix exponential serves as the reference
-propagator for integration tests.
+identity.  Where only eigenvalues are needed, as along a gap trace,
+:func:`sorted_eigenvalues` returns them in the same order without computing
+any eigenvector.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DefectiveSystem, ScalingOverflow
+from .errors import ConvergenceFailure, DefectiveSystem
 
 #: unit-normalized |<left|right>| below this marks an eigenpair as coalesced.
 DEFECT_TOLERANCE = 1e-6
 #: biorthonormalize refuses when more than this fraction of pairs coalesces.
 MAX_DEFECT_FRACTION = 0.5
-
-_EXPM_THETA = 1.0
-_EXPM_MAX_SQUARINGS = 64
 
 
 def maxnorm(m: np.ndarray) -> float:
@@ -81,9 +79,23 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
 
 
+def _lapack_failure(a: np.ndarray) -> ConvergenceFailure:
+    return ConvergenceFailure(f"eigensolver failed: dim={a.shape[0]}, maxnorm={maxnorm(a):.6e}")
+
+
 def sorted_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues alone, in the (Re, Im) order of :func:`eig_nonhermitian`."""
-    vals = np.linalg.eigvals(ensure_operator(m))
+    """Eigenvalues alone, in the (Re, Im) order of :func:`eig_nonhermitian`.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If LAPACK does not converge.
+    """
+    a = ensure_operator(m)
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise _lapack_failure(a) from exc
     return vals[_sort_order(vals)]
 
 
@@ -137,9 +149,7 @@ def eig_nonhermitian(m) -> EigenSystem:
     try:
         vals, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(
-            f"eigensolver failed: dim={a.shape[0]}, maxnorm={maxnorm(a):.6e}"
-        ) from exc
+        raise _lapack_failure(a) from exc
     order = _sort_order(vals)
     vals, right = vals[order], right[:, order]
     right = _fix_column_phases(right / np.linalg.norm(right, axis=0))
@@ -179,43 +189,3 @@ def biorthonormalize(
 def biorthonormal_eigensystem(m) -> EigenSystem:
     """Convenience: :func:`eig_nonhermitian` followed by :func:`biorthonormalize`."""
     return biorthonormalize(eig_nonhermitian(m))
-
-
-def expm_apply(m, v, dt: float) -> np.ndarray:
-    """Apply the propagator exp(-i*m*dt) to a vector.
-
-    Scaling-and-squaring with a truncated Taylor series; relative accuracy
-    around 1e-12 on well-conditioned inputs.
-
-    Raises
-    ------
-    ScalingOverflow
-        If the required squaring depth exceeds the configured budget.
-    """
-    a = ensure_operator(m)
-    vec = np.asarray(v, dtype=complex)
-    with np.errstate(over="ignore"):
-        gen = (-1j * float(dt)) * a
-        # induced 1-norm controls the series remainder
-        nrm = float(np.max(np.abs(gen).sum(axis=0)))
-    if not np.isfinite(nrm):
-        raise ScalingOverflow("|dt|*norm overflows double precision")
-    squarings = 0
-    if nrm > _EXPM_THETA:
-        squarings = int(np.ceil(np.log2(nrm / _EXPM_THETA)))
-    if squarings > _EXPM_MAX_SQUARINGS:
-        raise ScalingOverflow(
-            f"needs {squarings} squarings (> {_EXPM_MAX_SQUARINGS}); |dt|*norm too large"
-        )
-    b = gen / (2.0**squarings)
-    n = a.shape[0]
-    acc = np.eye(n, dtype=complex) + b
-    term = b.copy()
-    for k in range(2, 64):
-        term = term @ b / k
-        acc += term
-        if maxnorm(term) <= np.finfo(float).eps * maxnorm(acc):
-            break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc @ vec

@@ -148,8 +148,10 @@ def decompose_schedule_params(spec: AnnealSpec, basis: TwoLevelBasis) -> TwoLeve
         raise ZeroBlochVector("problem term projects to a scalar in the crossover basis")
     if n1 < 1e-12 * max(maxnorm(spec.h1), 1e-300):
         raise ZeroBlochVector("driver term projects to a scalar in the crossover basis")
-    cos_alpha = float(np.clip(-(r0 @ r1) / (n0 * n1), -1.0, 1.0))
-    return TwoLevelParams(lam0.real, lam1.real, r0, r1, float(np.arccos(cos_alpha)))
+    # atan2 keeps alpha relatively accurate near 0 and pi, where arccos of the
+    # cosine loses half the digits
+    alpha = np.arctan2(np.linalg.norm(np.cross(r0, r1)), -(r0 @ r1))
+    return TwoLevelParams(lam0.real, lam1.real, r0, r1, float(alpha))
 
 
 def gap_two_level(params: TwoLevelParams, j: float, g: float, delta: float) -> float:

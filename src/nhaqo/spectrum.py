@@ -3,7 +3,8 @@
 The "ground state" of a non-Hermitian snapshot is the eigenvalue with the
 smallest real part, which connects continuously to the Hermitian ordering at
 the endpoints.  The gap is the modulus of the complex difference between the
-two lowest eigenvalues.
+two lowest eigenvalues.  Gap traces need eigenvalues only; eigenvectors are
+computed solely where an exceptional-point candidate is confirmed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._minimize import local_minima_indices, refine_minimum, uniform_grid
-from .errors import ConvergenceFailure, DefectiveSystem, MultipleMinimaWarning
-from .linalg import biorthonormalize, eig_nonhermitian, maxnorm, sorted_eigenvalues
+from .errors import ConvergenceFailure, MultipleMinimaWarning
+from .linalg import eig_nonhermitian, maxnorm, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_GRID_POINTS = 1001
@@ -23,7 +24,7 @@ DEFAULT_GRID_POINTS = 1001
 EP_GAP_FACTOR = 1e-6
 #: and coalesce the two lowest right eigenvectors beyond this overlap
 EP_OVERLAP_THRESHOLD = 0.99
-#: refinement passes inserted where eigenvalues move faster than the Lipschitz bound
+#: refinement passes inserted where the lowest pair moves faster than the Lipschitz bound
 MAX_REFINE_ROUNDS = 4
 
 
@@ -34,7 +35,6 @@ class SpectrumSnapshot:
     s: float
     eigenvalues: np.ndarray
     gap: float
-    defective: bool
 
 
 @dataclass
@@ -56,20 +56,13 @@ def gap_at(spec: AnnealSpec, s: float) -> float:
 
 
 def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
-    """Eigenvalues of the total Hamiltonian at s, flagged if the lowest pair coalesces."""
-    h = total_hamiltonian(spec, s)
+    """Sorted eigenvalues of the total Hamiltonian at s and the gap of the lowest pair."""
     try:
-        es = eig_nonhermitian(h)
+        vals = sorted_eigenvalues(total_hamiltonian(spec, s))
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"{exc} (at s={s:.9g})") from exc
-    try:
-        es = biorthonormalize(es)
-        defective = bool(es.defect_flags[0] or (es.dim > 1 and es.defect_flags[1]))
-    except DefectiveSystem:
-        defective = True
-    vals = es.eigenvalues
-    gap = float(abs(vals[1] - vals[0])) if es.dim >= 2 else 0.0
-    return SpectrumSnapshot(float(s), vals, gap, defective)
+    gap = float(abs(vals[1] - vals[0])) if vals.shape[0] >= 2 else 0.0
+    return SpectrumSnapshot(float(s), vals, gap)
 
 
 def _lipschitz_bound(spec: AnnealSpec) -> float:
@@ -85,10 +78,12 @@ def trace_gap(
 ) -> GapTrace:
     """Sample the spectrum on a uniform s grid and locate the crossover.
 
-    Where consecutive sorted eigenvalues move faster than the schedule's
-    Lipschitz bound allows, midpoints are inserted for up to
-    ``max_refine_rounds`` passes (sorted-order jumps at complex real-part
-    crossings may persist; branch continuation is out of scope).
+    Where the two lowest sorted eigenvalues, the pair the gap is taken of,
+    move between consecutive samples faster than the schedule's Lipschitz
+    bound allows, midpoints are inserted for up to ``max_refine_rounds``
+    passes.  Sort-order jumps of higher levels are ignored (jumps of the
+    lowest pair at complex real-part crossings may persist; branch
+    continuation is out of scope).
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
@@ -100,7 +95,7 @@ def trace_gap(
             new_points: list[float] = []
             for a, b in zip(snaps[:-1], snaps[1:]):
                 step = b.s - a.s
-                motion = float(np.max(np.abs(b.eigenvalues - a.eigenvalues)))
+                motion = float(np.max(np.abs(b.eigenvalues[:2] - a.eigenvalues[:2])))
                 if motion > bound * step + slack:
                     new_points.append(0.5 * (a.s + b.s))
             if not new_points:
@@ -158,21 +153,31 @@ def _ground_pair_overlap(spec: AnnealSpec, s: float) -> float:
 
 
 def detect_exceptional_point(
-    spec: AnnealSpec, grid_points: int = DEFAULT_GRID_POINTS
+    spec: AnnealSpec,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    *,
+    trace: GapTrace | None = None,
 ) -> ExceptionalPoint | None:
     """Search for an s where the gap closes and the lowest eigenvectors coalesce.
 
     Both signatures are required: a tiny gap with orthogonal eigenvectors is
-    an ordinary (diabolic) near-crossing and returns ``None``.
+    an ordinary (diabolic) near-crossing and returns ``None``.  The gap is
+    scanned on a uniform grid of ``grid_points``, or, when a ``trace`` of
+    ``spec`` is given, its sampled gaps are polished instead and no new scan
+    is made.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    ss = uniform_grid(grid_points)
 
     def f(s: float) -> float:
         return gap_at(spec, s)
 
-    vals = [f(float(s)) for s in ss]
+    if trace is None:
+        ss = uniform_grid(grid_points)
+        vals = [f(float(s)) for s in ss]
+    else:
+        ss = [sn.s for sn in trace.snapshots]
+        vals = [sn.gap for sn in trace.snapshots]
     gap_tol = EP_GAP_FACTOR * (maxnorm(spec.h0) + maxnorm(spec.h1))
     cands = [
         refine_minimum(f, ss, vals, i, xtol=1e-14, max_iter=400)

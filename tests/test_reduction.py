@@ -303,3 +303,11 @@ def test_sin_alpha_relation_on_ising_instance():
     j_c = params.coupling(spec.schedule, trace.s_c)
     estimate = trace.g_m / (2.0 * abs(j_c))
     assert params.sin_alpha == pytest.approx(estimate, rel=0.2)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-8])
+def test_decompose_small_angle_relative_accuracy(alpha):
+    # arccos of the cosine loses half the digits near 0 (at 1e-8 the cosine
+    # rounds to 1 and the angle to 0); the reduced model needs alpha itself
+    params = decompose_schedule_params(two_level_spec(1.0, 0.5, alpha), STD_BASIS)
+    assert params.alpha == pytest.approx(alpha, rel=1e-9)

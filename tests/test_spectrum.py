@@ -5,8 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from nhaqo.errors import MultipleMinimaWarning
-from nhaqo.linalg import maxnorm
+import nhaqo._minimize
+import nhaqo.spectrum
+from nhaqo.cli import build_config, run_gap_trace
+from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
+from nhaqo.linalg import eig_nonhermitian, maxnorm
 from nhaqo.model import (
     AnnealSpec,
     PAULI_X,
@@ -14,6 +17,7 @@ from nhaqo.model import (
     ising_anneal_spec,
     linear_schedule,
     make_anneal_spec,
+    total_hamiltonian,
     two_level_spec,
 )
 from nhaqo.spectrum import (
@@ -34,7 +38,7 @@ def test_snapshot_diagonal_endpoint():
     snap = instantaneous_spectrum(spec, 1.0)
     assert np.allclose(snap.eigenvalues, [-1.0, 0.0, 1.0, 2.0], atol=1e-12)
     assert snap.gap == pytest.approx(1.0)
-    assert not snap.defective
+    assert not eig_nonhermitian(total_hamiltonian(spec, 1.0)).defect_flags[:2].any()
 
 
 def test_snapshot_exact_crossing_aligned_driver():
@@ -143,6 +147,88 @@ def test_eigenvalue_continuity_refinement_inserts_points():
     assert len(coarse.snapshots) == 101
     assert len(dense.snapshots) > 101
     assert [sn.s for sn in dense.snapshots] == sorted(sn.s for sn in dense.snapshots)
+
+
+def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
+    # diagonal spec: the lowest pair (real parts -3, -2) moves smoothly while
+    # the upper levels 3 - 2s - 3i(1-s) and 2s cross in real part at s = 3/4,
+    # where the (Re, Im) order of levels 2 and 3 jumps by 0.75
+    h0 = np.diag([-3.0, -2.0, 1.0, 2.0]).astype(complex)
+    h1 = np.diag([-3.0, -2.0, 3.0, 0.0]).astype(complex)
+    spec = AnnealSpec(h0, h1, linear_schedule(1.0), 1.0, 2)
+    coarse = trace_gap(spec, 101, refine=False)
+    # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step
+    bound_step = (3.0 + 3.0 * (1.0 + 1.0)) / 100
+    jumps = [
+        float(np.max(np.abs(b.eigenvalues[2:] - a.eigenvalues[2:])))
+        for a, b in zip(coarse.snapshots[:-1], coarse.snapshots[1:])
+    ]
+    assert max(jumps) > 5 * bound_step
+    refined = trace_gap(spec, 101, refine=True)
+    assert [sn.s for sn in refined.snapshots] == [sn.s for sn in coarse.snapshots]
+
+
+def test_trace_gap_computes_no_eigenvectors(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        trace = trace_gap(ising_anneal_spec(4, seed=130, delta0=0.5), 101)
+    assert len(trace.snapshots) > 101
+    assert calls == []
+
+
+def test_gap_trace_scans_each_grid_point_once(monkeypatch, tmp_path):
+    # every H(s) outside golden-section polishing belongs to one trace sample:
+    # the uniform grid once plus the refined points, with no second scan
+    polishing = [False]
+    scanned, polished = [], []
+    build = nhaqo.spectrum.total_hamiltonian
+    golden = nhaqo._minimize.golden_section
+
+    def counted_build(spec, s):
+        (polished if polishing[0] else scanned).append(s)
+        return build(spec, s)
+
+    def flagged_golden(*args, **kwargs):
+        polishing[0] = True
+        try:
+            return golden(*args, **kwargs)
+        finally:
+            polishing[0] = False
+
+    monkeypatch.setattr(nhaqo.spectrum, "total_hamiltonian", counted_build)
+    monkeypatch.setattr(nhaqo._minimize, "golden_section", flagged_golden)
+    cfg = build_config(
+        "gap-trace",
+        overrides=["model=ising", "n_qubits=4", "seed=130", "delta0=0.5", "grid_points=101"],
+        out=str(tmp_path / "trace.csv"),
+    )
+    with open(run_gap_trace(cfg), encoding="utf-8") as fh:
+        rows = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+    sampled = [float(r.split(",")[0]) for r in rows[1:]]
+    assert len(sampled) > 101
+    assert sorted(scanned) == sampled
+    assert set(np.arange(101) / 100) <= set(scanned)
+    assert polished
+
+
+def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    spec = ising_anneal_spec(2, seed=1, delta0=0.3)
+    with pytest.raises(ConvergenceFailure, match="dim=4, maxnorm="):
+        gap_at(spec, 0.5)
+    with pytest.raises(ConvergenceFailure, match=r"dim=4, maxnorm=.*\(at s=0\.5\)"):
+        instantaneous_spectrum(spec, 0.5)
 
 
 def test_ep_detected_at_constructed_coalescence():
