@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 
 from .adiabatic import (
     AdiabaticBudget,
-    hermitian_criterion_lhs,
-    min_time_hermitian,
     min_time_linear_ramp,
     min_time_nonhermitian,
     tau_window,
@@ -33,7 +31,6 @@ from .model import (
     random_ising,
     total_hamiltonian,
     two_level_spec,
-    validate_schedule,
 )
 from .reduction import (
     TwoLevelBasis,
@@ -79,14 +76,12 @@ __all__ = [
     "evolve",
     "find_crossover",
     "gap_two_level",
-    "hermitian_criterion_lhs",
     "hermitian_crossover",
     "initial_ground_state",
     "instantaneous_spectrum",
     "ising_anneal_spec",
     "linear_schedule",
     "make_anneal_spec",
-    "min_time_hermitian",
     "min_time_linear_ramp",
     "min_time_nonhermitian",
     "min_two_level_gap",
@@ -99,5 +94,4 @@ __all__ = [
     "trace_gap",
     "two_level_gap",
     "two_level_spec",
-    "validate_schedule",
 ]

@@ -76,7 +76,6 @@ def refine_minimum(
     values: Sequence[float],
     i: int,
     xtol: float = 1e-10,
-    max_iter: int = 300,
 ) -> tuple[float, float]:
     """Polish grid minimum ``i`` by golden-section search over its bracket."""
     n = len(xs)
@@ -84,24 +83,28 @@ def refine_minimum(
     hi = xs[i + 1] if i < n - 1 else xs[i]
     if lo == hi:
         return float(xs[i]), float(values[i])
-    x, v = golden_section(f, float(lo), float(hi), xtol=xtol, max_iter=max_iter)
+    x, v = golden_section(f, float(lo), float(hi), xtol=xtol)
     if values[i] < v:
         return float(xs[i]), float(values[i])
     return x, v
+
+
+def polished_minima(
+    f: Callable[[float], float],
+    xs: Sequence[float],
+    values: Sequence[float],
+    xtol: float,
+) -> list[tuple[float, float]]:
+    """Every grid-local minimum of ``values`` polished, ascending by value (ties keep grid order)."""
+    cands = [refine_minimum(f, xs, values, i, xtol=xtol) for i in local_minima_indices(values)]
+    cands.sort(key=lambda c: c[1])
+    return cands
 
 
 def minimize_on_grid(
     f: Callable[[float], float],
     xs: Sequence[float],
     xtol: float = 1e-10,
-    max_iter: int = 300,
 ) -> tuple[float, float]:
     """Global scan over ``xs`` followed by golden-section refinement."""
-    values = [f(float(x)) for x in xs]
-    best = None
-    for i in local_minima_indices(values):
-        cand = refine_minimum(f, xs, values, i, xtol=xtol, max_iter=max_iter)
-        if best is None or cand[1] < best[1]:
-            best = cand
-    assert best is not None
-    return best
+    return polished_minima(f, xs, [f(float(x)) for x in xs], xtol)[0]

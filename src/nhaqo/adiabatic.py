@@ -1,4 +1,4 @@
-"""Adiabatic-validity criteria and runtime bounds.
+"""Adiabatic runtime bounds and the qubit-lifetime window.
 
 All "much greater than" inequalities are reported as plain thresholds; the
 caller picks a safety factor.  Schedule derivatives use centered differences
@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._minimize import uniform_grid
-from .errors import DefectiveSystem, DegenerateSpectrum, ZeroGap
-from .linalg import biorthonormal_eigensystem, eig_nonhermitian, maxnorm
+from .errors import DefectiveSystem, ZeroGap
+from .linalg import biorthonormal_eigensystem
 from .model import AnnealSpec, Schedule, total_hamiltonian
 from .reduction import TwoLevelParams, min_two_level_gap, nonhermitian_min_gap
 
@@ -35,74 +35,16 @@ class AdiabaticBudget:
         return self.tau_max is None or self.tau_min < self.tau_max
 
 
-def schedule_rates(schedule: Schedule, s: float, ds: float = SCHEDULE_DERIV_STEP) -> tuple[float, float, float]:
+def schedule_rates(schedule: Schedule, s: float) -> tuple[float, float, float]:
     """(df0/ds, df1/ds, df2/ds) by centered differences, one-sided at the ends."""
-    lo = max(s - ds, 0.0)
-    hi = min(s + ds, 1.0)
+    lo = max(s - SCHEDULE_DERIV_STEP, 0.0)
+    hi = min(s + SCHEDULE_DERIV_STEP, 1.0)
     span = hi - lo
     return (
         (schedule.f0(hi) - schedule.f0(lo)) / span,
         (schedule.f1(hi) - schedule.f1(lo)) / span,
         (schedule.f2(hi) - schedule.f2(lo)) / span,
     )
-
-
-def _dh_ds(spec: AnnealSpec, s: float, include_decay: bool) -> np.ndarray:
-    df0, df1, df2 = schedule_rates(spec.schedule, s)
-    if include_decay:
-        return df0 * spec.h0 + (df1 - 1j * df2) * spec.h1
-    return df0 * spec.h0 + df1 * spec.h1
-
-
-def hermitian_criterion_lhs(spec: AnnealSpec, s: float) -> float:
-    """Sum over excited states of |<psi_m| dH/dt |psi_g>| / |E_m - E_g|^2.
-
-    dH/dt carries the 1/tau factor, so doubling tau halves the result; a
-    small value signals adiabaticity.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If an excited level sits within 1e-10 * maxnorm of the ground level.
-    """
-    h = total_hamiltonian(spec, s)
-    es = eig_nonhermitian(h)
-    vals = es.eigenvalues
-    gaps = np.abs(vals[1:] - vals[0])
-    if gaps.size and float(np.min(gaps)) <= 1e-10 * max(maxnorm(h), 1e-300):
-        raise DegenerateSpectrum(f"ground state degenerate at s={s:.6g}")
-    dhdt = _dh_ds(spec, s, include_decay=False) / spec.tau
-    ground = es.right_vectors[:, 0]
-    total = 0.0
-    for m in range(1, es.dim):
-        elem = abs(np.vdot(es.right_vectors[:, m], dhdt @ ground))
-        total += elem / float(gaps[m - 1]) ** 2
-    return float(total)
-
-
-def min_time_hermitian(spec: AnnealSpec, trace, form: str = "separate") -> float:
-    """Runtime threshold max|<psi_e| dH/ds |psi_g>| / g_m^2 for a Hermitian ramp.
-
-    ``form="separate"`` (the primary reading) maximizes the matrix element
-    and minimizes the gap independently over the trace grid;
-    ``form="ratio"`` maximizes the pointwise ratio instead.
-    """
-    if form not in ("separate", "ratio"):
-        raise ValueError("form must be 'separate' or 'ratio'")
-    best_elem = 0.0
-    best_ratio = 0.0
-    for snap in trace.snapshots:
-        h = total_hamiltonian(trace.spec, snap.s)
-        vals, vecs = np.linalg.eigh(h)
-        dh = _dh_ds(trace.spec, snap.s, include_decay=False)
-        elem = float(abs(np.vdot(vecs[:, 1], dh @ vecs[:, 0])))
-        best_elem = max(best_elem, elem)
-        gap = float(vals[1] - vals[0])
-        if gap > 0:
-            best_ratio = max(best_ratio, elem / gap**2)
-    if form == "ratio":
-        return best_ratio
-    return best_elem / trace.g_m**2
 
 
 def _max_drive_flux(params: TwoLevelParams, schedule: Schedule, grid: np.ndarray) -> tuple[float, float]:
@@ -134,7 +76,8 @@ def measured_matrix_element(spec: AnnealSpec, grid_points: int = 1001) -> float:
             continue
         if es.defect_flags[0] or es.defect_flags[1]:
             continue
-        dh = _dh_ds(spec, float(s), include_decay=True)
+        df0, df1, df2 = schedule_rates(spec.schedule, float(s))
+        dh = df0 * spec.h0 + (df1 - 1j * df2) * spec.h1
         elem = abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0]))
         best = max(best, float(elem))
     return best
@@ -144,7 +87,6 @@ def min_time_nonhermitian(
     spec: AnnealSpec,
     params: TwoLevelParams,
     grid_points: int = 1001,
-    measure_element: bool = True,
 ) -> AdiabaticBudget:
     """Runtime threshold for the reduced non-Hermitian model.
 
@@ -166,10 +108,9 @@ def min_time_nonhermitian(
     _, gap_min = min_two_level_gap(params, sched, grid_points)
     if gap_min <= 1e-12 * max(scale, 1e-300):
         raise ZeroGap(f"reduced-model gap {gap_min:.3e} is numerically zero")
-    measured = measured_matrix_element(spec, grid_points) if measure_element else None
     return AdiabaticBudget(
         tau_min=float(sin_eff * flux / gap_min**3),
-        measured_matrix_element=measured,
+        measured_matrix_element=measured_matrix_element(spec, grid_points),
     )
 
 

@@ -41,10 +41,6 @@ class AmbiguousGround(NhaqoError):
     """Two candidate ground eigenvalues have indistinguishable real parts."""
 
 
-class DegenerateSpectrum(NhaqoError):
-    """An adiabatic criterion was requested at a (near-)degenerate point."""
-
-
 class ZeroGap(NhaqoError):
     """The minimum gap is numerically zero; runtime bounds diverge."""
 

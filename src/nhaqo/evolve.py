@@ -21,7 +21,7 @@ from .errors import (
     StepUnderflow,
 )
 from .linalg import eig_nonhermitian, ensure_operator, is_hermitian
-from .model import AnnealSpec
+from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_TOL = 1e-10
 MIN_STEP_FACTOR = 1e-12
@@ -85,26 +85,18 @@ def success_probability(result_state, h0) -> float:
     return float(abs(np.vdot(vecs[:, 0], psi)) ** 2 / nrm2)
 
 
-def initial_ground_state(spec: AnnealSpec, driver_only: bool = False) -> np.ndarray:
+def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
     """Unit right eigenvector with the smallest real eigenvalue at s = 0.
 
-    By default the full Hamiltonian at s = 0 (including any problem-term
-    admixture) defines the ground state; ``driver_only`` restricts to the
-    weighted driver term alone.
+    The full Hamiltonian at s = 0, including any problem-term admixture,
+    defines the ground state.
 
     Raises
     ------
     AmbiguousGround
         If the two lowest real parts coincide within 1e-10.
     """
-    if driver_only:
-        w = spec.schedule.f1(0.0) - 1j * spec.schedule.f2(0.0)
-        h = w * spec.h1
-    else:
-        from .model import total_hamiltonian
-
-        h = total_hamiltonian(spec, 0.0)
-    es = eig_nonhermitian(h)
+    es = eig_nonhermitian(total_hamiltonian(spec, 0.0))
     if es.dim >= 2 and es.eigenvalues[1].real - es.eigenvalues[0].real <= 1e-10:
         raise AmbiguousGround("two lowest real parts coincide at s = 0")
     v = es.right_vectors[:, 0]
@@ -119,7 +111,6 @@ def evolve(
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_SAMPLES,
     decaying_driver: bool = False,
-    min_step_factor: float = MIN_STEP_FACTOR,
 ) -> EvolutionResult:
     """Integrate from t = 0 to t = tau with adaptive step control.
 
@@ -131,7 +122,7 @@ def evolve(
     Raises
     ------
     StepUnderflow
-        If the controller demands steps below tau times ``min_step_factor``.
+        If the controller demands steps below tau times ``MIN_STEP_FACTOR``.
     NonFiniteState
         If any amplitude becomes NaN or Inf.
     """
@@ -170,7 +161,7 @@ def evolve(
         return out
 
     sample_times = np.arange(samples) / (samples - 1) * tau
-    min_step = tau * min_step_factor
+    min_step = tau * MIN_STEP_FACTOR
     norms: list[tuple[float, float]] = [(0.0, float(np.linalg.norm(psi)))]
     t = 0.0
     h = tau / max(samples - 1, 100) / 10.0

@@ -157,33 +157,25 @@ def eig_nonhermitian(m) -> EigenSystem:
     return EigenSystem(vals, right, left, overlaps < DEFECT_TOLERANCE)
 
 
-def biorthonormalize(
-    es: EigenSystem,
-    *,
-    defect_tolerance: float = DEFECT_TOLERANCE,
-    max_defect_fraction: float = MAX_DEFECT_FRACTION,
-) -> EigenSystem:
+def biorthonormalize(es: EigenSystem) -> EigenSystem:
     """Rescale left vectors so that ``<left_m|right_n> = delta_mn``.
 
     The left rows of :func:`eig_nonhermitian` are already orthogonal to
     every other pair's right column, so a diagonal rescale suffices.  Pairs
-    whose unit-normalized overlap falls below ``defect_tolerance`` are
-    flagged as coalesced, keep their left vector unscaled, and are excluded
-    from the delta_mn guarantee.
+    flagged in ``defect_flags`` keep their left vector unscaled and are
+    excluded from the delta_mn guarantee.
 
     Raises
     ------
     DefectiveSystem
-        If more than ``max_defect_fraction`` of all pairs coalesce.
+        If more than ``MAX_DEFECT_FRACTION`` of all pairs coalesce.
     """
-    left, right = es.left_vectors, es.right_vectors
-    raw = np.einsum("ij,ji->i", left, right)
-    norms = np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
-    flags = np.abs(raw) / np.maximum(norms, np.finfo(float).tiny) < defect_tolerance
-    if int(flags.sum()) > max_defect_fraction * es.dim:
+    flags = es.defect_flags
+    if int(flags.sum()) > MAX_DEFECT_FRACTION * es.dim:
         raise DefectiveSystem(f"{int(flags.sum())}/{es.dim} eigenpairs coalesced")
+    raw = np.einsum("ij,ji->i", es.left_vectors, es.right_vectors)
     scale = np.where(flags, 1.0, raw)
-    return replace(es, left_vectors=left / scale[:, None], defect_flags=flags)
+    return replace(es, left_vectors=es.left_vectors / scale[:, None])
 
 
 def biorthonormal_eigensystem(m) -> EigenSystem:

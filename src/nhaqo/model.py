@@ -12,19 +12,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._minimize import uniform_grid
 from .errors import DuplicateCoupling
 from .linalg import ensure_operator, is_hermitian, maxnorm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-
-#: validation grid for schedule invariants
-SCHEDULE_GRID = 1001
-#: "driver dominates initially" is enforced as f1(0) >= this factor times f0(0)
-DOMINANCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -35,7 +28,6 @@ class Schedule:
     f0: Callable[[float], float]
     f1: Callable[[float], float]
     f2: Callable[[float], float]
-    kind: str = "custom-sampled"
 
 
 def linear_schedule(delta0: float) -> Schedule:
@@ -51,56 +43,7 @@ def linear_schedule(delta0: float) -> Schedule:
         f0=lambda s: float(s),
         f1=lambda s: 1.0 - float(s),
         f2=lambda s: d0 * (1.0 - float(s)),
-        kind="linear",
     )
-
-
-@dataclass(frozen=True)
-class ScheduleViolation:
-    condition: str
-    s: float | None = None
-
-    def __str__(self) -> str:
-        return self.condition if self.s is None else f"{self.condition} at s={self.s:.6g}"
-
-
-def validate_schedule(sch: Schedule, grid_points: int = SCHEDULE_GRID) -> list[ScheduleViolation]:
-    """Check monotonicity, boundary values and initial driver dominance on a grid.
-
-    Returns an empty list when all conditions hold; violations are data,
-    not errors.
-    """
-    ss = uniform_grid(grid_points)
-    f0 = np.array([sch.f0(s) for s in ss], dtype=float)
-    f1 = np.array([sch.f1(s) for s in ss], dtype=float)
-    f2 = np.array([sch.f2(s) for s in ss], dtype=float)
-    out: list[ScheduleViolation] = []
-
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(f0))), float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
-
-    def first_bad(diffs: np.ndarray, increasing: bool) -> int | None:
-        bad = np.nonzero(diffs < -slack if increasing else diffs > slack)[0]
-        return int(bad[0]) if bad.size else None
-
-    i = first_bad(np.diff(f0), increasing=True)
-    if i is not None:
-        out.append(ScheduleViolation("f0 not monotonic non-decreasing", float(ss[i])))
-    i = first_bad(np.diff(f1), increasing=False)
-    if i is not None:
-        out.append(ScheduleViolation("f1 not monotonic non-increasing", float(ss[i])))
-    i = first_bad(np.diff(f2), increasing=False)
-    if i is not None:
-        out.append(ScheduleViolation("f2 not monotonic non-increasing", float(ss[i])))
-
-    if abs(f1[-1]) > 1e-9:
-        out.append(ScheduleViolation("f1(1) != 0", 1.0))
-    if abs(f0[-1] - 1.0) > 1e-9:
-        out.append(ScheduleViolation("f0(1) != 1", 1.0))
-    if abs(f2[-1]) > 1e-9:
-        out.append(ScheduleViolation("f2(1) != 0", 1.0))
-    if abs(f0[0]) > 1e-12 and f1[0] < DOMINANCE_FACTOR * f0[0]:
-        out.append(ScheduleViolation("f1(0) does not dominate f0(0)", 0.0))
-    return out
 
 
 @dataclass(frozen=True)

@@ -50,13 +50,11 @@ class TwoLevelParams:
         alpha: float,
         r0_mag: float = 1.0,
         r1_mag: float = 1.0,
-        lambda0: float = 0.0,
-        lambda1: float = 0.0,
     ) -> "TwoLevelParams":
-        """Canonical layout: r0 along z, r1 tilted by ``alpha`` against -z."""
+        """Canonical layout: r0 along z, r1 tilted by ``alpha`` against -z, no offsets."""
         r0 = np.array([0.0, 0.0, r0_mag])
         r1 = r1_mag * np.array([np.sin(alpha), 0.0, -np.cos(alpha)])
-        return cls(lambda0, lambda1, r0, r1, float(alpha))
+        return cls(0.0, 0.0, r0, r1, float(alpha))
 
     @property
     def r0_mag(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimize import local_minima_indices, refine_minimum, uniform_grid
+from ._minimize import polished_minima, uniform_grid
 from .errors import ConvergenceFailure, MultipleMinimaWarning
 from .linalg import eig_nonhermitian, maxnorm, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
@@ -74,13 +74,12 @@ def trace_gap(
     spec: AnnealSpec,
     grid_points: int = DEFAULT_GRID_POINTS,
     refine: bool = True,
-    max_refine_rounds: int = MAX_REFINE_ROUNDS,
 ) -> GapTrace:
     """Sample the spectrum on a uniform s grid and locate the crossover.
 
     Where the two lowest sorted eigenvalues, the pair the gap is taken of,
     move between consecutive samples faster than the schedule's Lipschitz
-    bound allows, midpoints are inserted for up to ``max_refine_rounds``
+    bound allows, midpoints are inserted for up to ``MAX_REFINE_ROUNDS``
     passes.  Sort-order jumps of higher levels are ignored (jumps of the
     lowest pair at complex real-part crossings may persist; branch
     continuation is out of scope).
@@ -91,7 +90,7 @@ def trace_gap(
     if refine:
         bound = _lipschitz_bound(spec)
         slack = 1e-12 * max(bound, 1.0)
-        for _ in range(max_refine_rounds):
+        for _ in range(MAX_REFINE_ROUNDS):
             new_points: list[float] = []
             for a, b in zip(snaps[:-1], snaps[1:]):
                 step = b.s - a.s
@@ -121,11 +120,7 @@ def find_crossover(trace: GapTrace, xtol: float = 1e-8) -> tuple[float, float]:
     def f(s: float) -> float:
         return gap_at(trace.spec, s)
 
-    cands = [
-        refine_minimum(f, xs, vals, i, xtol=xtol)
-        for i in local_minima_indices(vals)
-    ]
-    cands.sort(key=lambda c: c[1])
+    cands = polished_minima(f, xs, vals, xtol)
     s_c, g_m = cands[0]
     if len(cands) > 1 and abs(cands[1][1] - g_m) <= 0.01 * g_m:
         warnings.warn(
@@ -179,12 +174,7 @@ def detect_exceptional_point(
         ss = [sn.s for sn in trace.snapshots]
         vals = [sn.gap for sn in trace.snapshots]
     gap_tol = EP_GAP_FACTOR * (maxnorm(spec.h0) + maxnorm(spec.h1))
-    cands = [
-        refine_minimum(f, ss, vals, i, xtol=1e-14, max_iter=400)
-        for i in local_minima_indices(vals)
-    ]
-    cands.sort(key=lambda c: c[1])
-    for s_min, gap_min in cands:
+    for s_min, gap_min in polished_minima(f, ss, vals, 1e-14):
         if gap_min >= gap_tol:
             break
         overlap = _ground_pair_overlap(spec, s_min)

@@ -1,51 +1,20 @@
-"""Adiabatic criteria, matrix-element estimates and runtime thresholds."""
-
-import warnings
+"""Matrix-element estimates, runtime thresholds and the qubit-lifetime window."""
 
 import numpy as np
 import pytest
 
 from nhaqo.adiabatic import (
     estimated_matrix_element,
-    hermitian_criterion_lhs,
     measured_matrix_element,
-    min_time_hermitian,
     min_time_linear_ramp,
     min_time_nonhermitian,
     schedule_rates,
     tau_window,
 )
-from nhaqo.errors import DegenerateSpectrum, MultipleMinimaWarning
-from nhaqo.model import (
-    AnnealSpec,
-    PAULI_X,
-    PAULI_Z,
-    Schedule,
-    ising_anneal_spec,
-    linear_schedule,
-    two_level_spec,
-)
-from nhaqo.reduction import (
-    TwoLevelParams,
-    build_crossover_basis,
-    decompose_schedule_params,
-    nonhermitian_min_gap,
-)
-from nhaqo.spectrum import trace_gap
+from nhaqo.model import linear_schedule, two_level_spec
+from nhaqo.reduction import build_crossover_basis, decompose_schedule_params, nonhermitian_min_gap
 
 SMALL_ALPHA = float(np.arcsin(1e-3))
-
-
-def plateau_schedule():
-    # flat in the middle: zero slope at s = 0.5
-    def ramp(s):
-        if s < 0.4:
-            return s / 0.4
-        if s > 0.6:
-            return 1.0
-        return 1.0
-
-    return Schedule(f0=lambda s: min(ramp(s), 1.0), f1=lambda s: 1.0 - min(ramp(s), 1.0), f2=lambda s: 0.0)
 
 
 def test_schedule_rates_linear():
@@ -57,76 +26,6 @@ def test_schedule_rates_linear():
     # one-sided at the boundary
     assert schedule_rates(sched, 0.0)[0] == pytest.approx(1.0, abs=1e-9)
     assert schedule_rates(sched, 1.0)[1] == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_criterion_lhs_zero_on_plateau():
-    spec = AnnealSpec(PAULI_Z, PAULI_X, plateau_schedule(), 2.0, 1)
-    assert hermitian_criterion_lhs(spec, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_criterion_lhs_peaks_at_crossover():
-    spec = two_level_spec(1.0, 0.0, SMALL_ALPHA, tau=1.0)
-    at_sc = hermitian_criterion_lhs(spec, 0.5)
-    away = hermitian_criterion_lhs(spec, 0.3)
-    assert at_sc > 100 * away
-    # peak height scales like the inverse square of the minimum gap:
-    # the analytic two-level element (1 + cos a) over g_m^2
-    g_m = 1e-3
-    analytic = (1.0 + np.cos(SMALL_ALPHA)) / g_m**2 / spec.tau
-    assert 0.5 < at_sc / analytic < 2.0
-
-
-def test_criterion_lhs_halves_when_tau_doubles():
-    spec1 = two_level_spec(1.0, 0.0, 0.3, tau=1.0)
-    spec2 = two_level_spec(1.0, 0.0, 0.3, tau=2.0)
-    for s in (0.2, 0.5, 0.8):
-        assert hermitian_criterion_lhs(spec1, s) == pytest.approx(
-            2.0 * hermitian_criterion_lhs(spec2, s), rel=1e-9
-        )
-
-
-def test_criterion_lhs_degenerate_spectrum():
-    spec = two_level_spec(1.0, 0.0, alpha=0.0)  # exact crossing at s = 1/2
-    with pytest.raises(DegenerateSpectrum):
-        hermitian_criterion_lhs(spec, 0.5)
-
-
-def test_min_time_hermitian_two_level_scaling():
-    # derived oracle: element (1 + cos a) * J*, gap 2*J_c*sin(a)*sqrt(2/(1+cos a))
-    spec = two_level_spec(1.0, 0.0, SMALL_ALPHA)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MultipleMinimaWarning)
-        trace = trace_gap(spec, 1001)
-    measured = min_time_hermitian(spec, trace)
-    g_m = 2 * 0.5 * np.sin(SMALL_ALPHA) * np.sqrt(2.0 / (1.0 + np.cos(SMALL_ALPHA)))
-    analytic = (1.0 + np.cos(SMALL_ALPHA)) / g_m**2
-    assert 0.5 < measured / analytic < 2.0
-
-
-def test_min_time_hermitian_constant_ratio():
-    # pure rotation: gap and matrix element are both constant along s
-    omega = 0.7
-    sched = Schedule(
-        f0=lambda s: float(np.sin(omega * s)),
-        f1=lambda s: float(np.cos(omega * s)),
-        f2=lambda s: 0.0,
-    )
-    spec = AnnealSpec(PAULI_Z, PAULI_X, sched, 1.0, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MultipleMinimaWarning)  # constant gap: every point ties
-        trace = trace_gap(spec, 201, refine=False)
-    assert trace.g_m == pytest.approx(2.0, abs=1e-9)
-    assert min_time_hermitian(spec, trace) == pytest.approx(omega / 4.0, rel=1e-6)
-
-
-def test_min_time_hermitian_inverse_energy_scaling():
-    spec1 = two_level_spec(1.0, 0.0, 0.2)
-    spec3 = two_level_spec(3.0, 0.0, 0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MultipleMinimaWarning)
-        t1 = min_time_hermitian(spec1, trace_gap(spec1, 501))
-        t3 = min_time_hermitian(spec3, trace_gap(spec3, 501))
-    assert t3 == pytest.approx(t1 / 3.0, rel=1e-4)
 
 
 def test_min_time_nonhermitian_two_level():
@@ -187,18 +86,6 @@ def test_matrix_element_estimate_within_factor_three(sin_a, d0):
     estimate = estimated_matrix_element(params, spec.schedule, grid_points=501)
     assert measured / estimate < 3.0
     assert estimate / measured < 3.0
-
-
-def test_criterion_sum_dominates_single_term():
-    spec = ising_anneal_spec(3, seed=2, delta0=0.0, tau=2.0)
-    for s in (0.3, 0.5, 0.7):
-        lhs = hermitian_criterion_lhs(spec, s)
-        h = spec.schedule.f0(s) * spec.h0 + spec.schedule.f1(s) * spec.h1
-        vals, vecs = np.linalg.eigh(h)
-        df0, df1, _ = schedule_rates(spec.schedule, s)
-        dhdt = (df0 * spec.h0 + df1 * spec.h1) / spec.tau
-        single = abs(np.vdot(vecs[:, 1], dhdt @ vecs[:, 0])) / (vals[1] - vals[0]) ** 2
-        assert lhs >= single - 1e-12
 
 
 def test_tau_window_wide():

@@ -22,7 +22,7 @@ from nhaqo.model import (
     two_level_spec,
 )
 
-FROZEN = Schedule(f0=lambda s: 1.0, f1=lambda s: 0.0, f2=lambda s: 1.0, kind="custom-sampled")
+FROZEN = Schedule(f0=lambda s: 1.0, f1=lambda s: 0.0, f2=lambda s: 1.0)
 
 
 def frozen_spec(m, tau):
@@ -153,7 +153,7 @@ def test_evolve_rejects_unnormalized_initial():
 def test_step_underflow_on_impossible_tolerance():
     spec = two_level_spec(1.0, 0.0, 0.4, tau=1.0)
     with pytest.raises(StepUnderflow):
-        evolve(spec, initial_ground_state(spec), tol=1e-300, min_step_factor=1e-6)
+        evolve(spec, initial_ground_state(spec), tol=1e-300)
 
 
 def test_success_probability_perfect_overlap():
@@ -184,7 +184,7 @@ def test_success_probability_degenerate_target_warns():
 
 def test_initial_ground_state_transverse_driver():
     spec = ising_anneal_spec(3, seed=1, delta0=0.0)
-    v = initial_ground_state(spec, driver_only=True)
+    v = initial_ground_state(spec)
     uniform = np.ones(8) / np.sqrt(8)
     assert abs(np.vdot(uniform, v)) == pytest.approx(1.0, abs=1e-10)
 
@@ -193,8 +193,8 @@ def test_initial_ground_state_invariant_under_decay_weight():
     # the weighted driver shares the driver's eigenvectors
     spec_a = ising_anneal_spec(3, seed=1, delta0=0.0)
     spec_b = ising_anneal_spec(3, seed=1, delta0=0.9)
-    va = initial_ground_state(spec_a, driver_only=True)
-    vb = initial_ground_state(spec_b, driver_only=True)
+    va = initial_ground_state(spec_a)
+    vb = initial_ground_state(spec_b)
     assert abs(np.vdot(va, vb)) == pytest.approx(1.0, abs=1e-10)
 
 

@@ -41,11 +41,14 @@ def test_identity_eigensystem():
 
 
 def test_nilpotent_jordan_block_flags_both():
-    es = eig_nonhermitian([[0, 1], [0, 0]])
-    assert np.allclose(es.eigenvalues, 0.0)
-    assert es.defect_flags.all()
-    with pytest.raises(DefectiveSystem):
-        biorthonormalize(es)
+    # the 3x3 block's right vectors are exactly singular: its flags must come
+    # from eig_nonhermitian, since it has no dual rows to recompute them from
+    for m in ([[0, 1], [0, 0]], np.diag([1.0, 1.0], 1)):
+        es = eig_nonhermitian(m)
+        assert np.allclose(es.eigenvalues, 0.0)
+        assert es.defect_flags.all()
+        with pytest.raises(DefectiveSystem):
+            biorthonormalize(es)
 
 
 def test_upper_triangular_hand_solution():

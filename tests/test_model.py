@@ -1,4 +1,4 @@
-"""Hamiltonian builders, schedules and their validation."""
+"""Hamiltonian builders, schedules, total-Hamiltonian assembly and spec validation."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from nhaqo.linalg import is_hermitian
 from nhaqo.model import (
     PAULI_X,
     PAULI_Z,
-    Schedule,
     build_ising,
     build_transverse,
     ising_anneal_spec,
@@ -17,7 +16,6 @@ from nhaqo.model import (
     random_ising,
     total_hamiltonian,
     two_level_spec,
-    validate_schedule,
 )
 
 
@@ -27,7 +25,6 @@ def test_linear_schedule_hermitian_limit():
     assert all(sch.f2(s) == 0.0 for s in ss)
     assert sch.f0(0.25) == 0.25
     assert sch.f1(0.25) == 0.75
-    assert validate_schedule(sch) == []
 
 
 def test_linear_schedule_unit_decay():
@@ -36,30 +33,12 @@ def test_linear_schedule_unit_decay():
     assert sch.f2(1.0) == 0.0
     mid = np.array([sch.f0(0.5), sch.f1(0.5), sch.f2(0.5)])
     assert np.allclose(mid, [0.5, 0.5, 0.5])
-    assert validate_schedule(sch) == []
 
 
 def test_linear_schedule_midpoint_scales_with_delta0():
     for d0 in (0.1, 0.7, 2.0):
         sch = linear_schedule(d0)
         assert sch.f2(0.5) == pytest.approx(0.5 * d0)
-
-
-def test_validate_schedule_boundary_breach():
-    sch = Schedule(f0=lambda s: s, f1=lambda s: 1.0 - 0.9 * s, f2=lambda s: 0.0)
-    conditions = [v.condition for v in validate_schedule(sch)]
-    assert "f1(1) != 0" in conditions
-
-
-def test_validate_schedule_nonmonotone_f2():
-    def bump(s):
-        rise = 3.0 * (min(max(s, 0.2), 0.3) - 0.2)  # climbs inside [0.2, 0.3]
-        return (1.0 - s) * (1.0 + rise)
-
-    sch = Schedule(f0=lambda s: s, f1=lambda s: 1.0 - s, f2=bump)
-    violations = validate_schedule(sch)
-    mono = [v for v in violations if "f2 not monotonic" in v.condition]
-    assert mono and abs(mono[0].s - 0.2) < 0.01
 
 
 def test_total_hamiltonian_endpoint_is_problem_term():

@@ -122,6 +122,24 @@ def test_crossover_warns_on_tied_minima():
         trace_gap(spec, 201, refine=False)
 
 
+def test_rotation_schedule_has_constant_gap():
+    # pure rotation f0 = sin(ws), f1 = cos(ws) of Z against X: the gap is 2
+    # everywhere along s
+    from nhaqo.model import Schedule
+
+    omega = 0.7
+    sched = Schedule(
+        f0=lambda s: float(np.sin(omega * s)),
+        f1=lambda s: float(np.cos(omega * s)),
+        f2=lambda s: 0.0,
+    )
+    spec = AnnealSpec(PAULI_Z, PAULI_X, sched, 1.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)  # constant gap: every point ties
+        trace = trace_gap(spec, 201, refine=False)
+    assert trace.g_m == pytest.approx(2.0, abs=1e-9)
+
+
 def test_find_crossover_requires_three_snapshots():
     spec = two_level_spec(1.0, 0.0, 0.3)
     trace = trace_gap(spec, 11)
