@@ -9,7 +9,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from conftest import corpus_data

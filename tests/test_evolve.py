@@ -1,6 +1,11 @@
 """Integrator checks against the exponential oracle and conservation laws."""
 
 import dataclasses
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,9 @@ from nhaqo.model import (
     total_hamiltonian,
     two_level_spec,
 )
+
+# the package re-exports the function ``evolve`` under the module's name
+evolve_module = importlib.import_module("nhaqo.evolve")
 
 FROZEN = Schedule(f0=lambda s: 1.0, f1=lambda s: 0.0, f2=lambda s: 1.0)
 
@@ -228,17 +236,53 @@ def test_initial_ground_state_ambiguous():
 def test_evolve_matches_scipy_on_time_dependent_generator():
     # independent oracle: scipy's adaptive integrator on the same anneal
     integrate = pytest.importorskip("scipy.integrate")
-    spec = ising_anneal_spec(2, seed=6, delta0=0.4, tau=3.0)
-    v0 = initial_ground_state(spec)
+    cases = [
+        # (spec, oracle rtol, oracle atol, max deviation, max accepted steps)
+        (ising_anneal_spec(2, seed=6, delta0=0.4, tau=3.0), 1e-11, 1e-12, 1e-7, None),
+        # long Hermitian anneal: the step bound keeps the pair high-order
+        (ising_anneal_spec(4, seed=11, delta0=0.0, tau=100.0), 1e-12, 1e-14, 1e-8, 1500),
+    ]
+    for spec, rtol, atol, max_dev, max_steps in cases:
+        v0 = initial_ground_state(spec)
 
-    def rhs(t, y):
-        return -1j * (total_hamiltonian(spec, t / spec.tau) @ y)
+        def rhs(t, y):
+            return -1j * (total_hamiltonian(spec, t / spec.tau) @ y)
 
-    sol = integrate.solve_ivp(
-        rhs, (0.0, spec.tau), v0.astype(complex), method="DOP853", rtol=1e-11, atol=1e-12
+        sol = integrate.solve_ivp(
+            rhs, (0.0, spec.tau), v0.astype(complex), method="DOP853", rtol=rtol, atol=atol
+        )
+        res = evolve(spec, v0)
+        assert np.max(np.abs(res.final_state - sol.y[:, -1])) <= max_dev
+        if max_steps is not None:
+            assert res.steps_taken <= max_steps
+
+
+def test_vendored_tableau_matches_scipy():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    stages = len(evolve_module._C)
+    assert stages == coeffs.N_STAGES
+    assert np.array_equal(evolve_module._C, coeffs.C[:stages])
+    for i, row in enumerate(evolve_module._A):
+        assert np.array_equal(row, coeffs.A[i, :i])
+    assert np.array_equal(evolve_module._B, coeffs.B)
+    assert np.array_equal(evolve_module._E3, coeffs.E3[:stages])
+    assert np.array_equal(evolve_module._E5, coeffs.E5[:stages])
+    # the 13th (first-same-as-last) stage carries no error weight
+    assert coeffs.E3[stages] == 0.0 and coeffs.E5[stages] == 0.0
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(evolve_module.__file__).resolve().parents[1]
+    code = (
+        "import sys, nhaqo.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    res = evolve(spec, v0)
-    assert np.max(np.abs(res.final_state - sol.y[:, -1])) < 1e-7
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_success_probability_monotone_trend_in_tau():
