@@ -392,6 +392,7 @@ def run_evolve(cfg: ExperimentConfig) -> str:
                 run_spec,
                 initial,
                 tol=cfg.tol_evolve,
+                samples=2,  # the CSV reads only the final norm
                 decaying_driver=cfg.decaying_driver,
             )
             rows.append(

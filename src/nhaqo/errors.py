@@ -34,7 +34,7 @@ class StepUnderflow(NhaqoError):
 
 
 class NonFiniteState(NhaqoError):
-    """An evolved amplitude became NaN or Inf."""
+    """An evolved amplitude became NaN or Inf, or the state underflowed to zero."""
 
 
 class AmbiguousGround(NhaqoError):
