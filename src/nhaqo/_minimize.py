@@ -1,4 +1,4 @@
-"""Scalar minimization helpers: golden-section refinement over grid scans."""
+"""Scalar minimization helpers: golden-section and Brent refinement over grid scans."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 def uniform_grid(n: int) -> np.ndarray:
@@ -54,6 +55,59 @@ def golden_section(
     if fm < best_f:
         best_f, best_x = fm, mid
     return float(best_x), float(best_f)
+
+
+def brent(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    x: float,
+    fx: float,
+    xtol: float,
+) -> tuple[float, float]:
+    """Minimum of f on [a, b] by Brent's method, from a point x in [a, b] with known f(x).
+
+    Parabolic interpolation through the three best points, with a golden-section
+    step where the parabola leaves the bracket or fails to halve the step before
+    last (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
+    Stops when the bracket is within ``sqrt(eps) * |x| + xtol / 3`` of x, or
+    after 100 evaluations; x is always the best point evaluated, returned as
+    (x, f(x)).
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    for _ in range(100):
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + xtol / 3.0
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if (x + d) - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (a if x >= m else b) - x
+            d = (1.0 - _INVPHI) * e
+        u = x + (d if abs(d) >= tol else np.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return float(x), float(fx)
 
 
 def local_minima_indices(values: Sequence[float]) -> list[int]:

@@ -101,13 +101,11 @@ def sorted_eigenvalues(m) -> np.ndarray:
 
 def _fix_column_phases(cols: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry real and positive."""
-    out = cols.copy()
-    for i in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, i])))
-        p = out[k, i]
-        if p != 0:
-            out[:, i] *= abs(p) / p
-    return out
+    peaks = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    phases = np.ones_like(peaks)
+    np.divide(np.abs(peaks), peaks, out=phases, where=peaks != 0)
+    # C order, as a column-by-column copy gives: the inverse taken next rounds by layout
+    return np.multiply(cols, phases, order="C")
 
 
 def _unit_inverse_rows(right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,12 @@ smallest real part, which connects continuously to the Hermitian ordering at
 the endpoints.  The gap is the modulus of the complex difference between the
 two lowest eigenvalues.  Gap traces need eigenvalues only; eigenvectors are
 computed solely where an exceptional-point candidate is confirmed.
+
+The crossover is polished by golden section.  Exceptional-point candidates
+are polished on the discriminant (E_1 - E_0)^2 instead: it is analytic
+through an exceptional point, where the gap itself closes like a square
+root, so Brent's method and a few Gauss-Newton steps reach the closing
+in far fewer eigensolves than golden section on the gap.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimize import polished_minima, uniform_grid
+from ._minimize import brent, local_minima_indices, polished_minima, uniform_grid
 from .errors import ConvergenceFailure, MultipleMinimaWarning
 from .linalg import eig_nonhermitian, maxnorm, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
@@ -47,22 +53,26 @@ class GapTrace:
     g_m: float = field(default=np.nan)
 
 
-def gap_at(spec: AnnealSpec, s: float) -> float:
-    """Modulus gap |E_1 - E_0| of the two lowest-real-part eigenvalues."""
-    vals = sorted_eigenvalues(total_hamiltonian(spec, s))
-    if vals.shape[0] < 2:
-        raise ValueError("gap needs dimension >= 2")
-    return float(abs(vals[1] - vals[0]))
-
-
-def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
-    """Sorted eigenvalues of the total Hamiltonian at s and the gap of the lowest pair."""
+def _lowest_pair(spec: AnnealSpec, s: float) -> tuple[np.ndarray, complex]:
+    """Sorted eigenvalues of the total Hamiltonian at s and the complex E_1 - E_0."""
     try:
         vals = sorted_eigenvalues(total_hamiltonian(spec, s))
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"{exc} (at s={s:.9g})") from exc
-    gap = float(abs(vals[1] - vals[0])) if vals.shape[0] >= 2 else 0.0
-    return SpectrumSnapshot(float(s), vals, gap)
+    if vals.shape[0] < 2:
+        raise ValueError("gap needs dimension >= 2")
+    return vals, vals[1] - vals[0]
+
+
+def gap_at(spec: AnnealSpec, s: float) -> float:
+    """Modulus gap |E_1 - E_0| of the two lowest-real-part eigenvalues."""
+    return float(abs(_lowest_pair(spec, s)[1]))
+
+
+def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
+    """Sorted eigenvalues of the total Hamiltonian at s and the gap of the lowest pair."""
+    vals, diff = _lowest_pair(spec, s)
+    return SpectrumSnapshot(float(s), vals, float(abs(diff)))
 
 
 def _lipschitz_bound(spec: AnnealSpec) -> float:
@@ -147,6 +157,45 @@ def _ground_pair_overlap(spec: AnnealSpec, s: float) -> float:
     return float(abs(np.vdot(right[:, 0], right[:, 1])))
 
 
+def _polish_discriminant(
+    spec: AnnealSpec, xs: list[float], diffs: list[complex], i: int
+) -> tuple[float, float]:
+    """Polish grid minimum ``i`` of the gap as a minimum of |q|^2, q = (E_1 - E_0)^2.
+
+    The gap closes like sqrt|s - s0| at an exceptional point, but q is
+    analytic there, so |q|^2 is as smooth as at an ordinary avoided crossing.
+    Brent's method on |q|^2 over [x_{i-1}, x_{i+1}] starts from the grid
+    point; up to three Gauss-Newton steps on q follow, each
+    s - Re(q conj(q')) / |q'|^2 = s - Re(q / q') with q' the secant through
+    the two best samples, kept only inside the bracket and while |q|
+    decreases.  Returns
+    the best sample as (s, gap), the grid point included.
+    """
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    samples = {xs[i]: diffs[i]}
+
+    def sq(s: float) -> float:
+        samples[s] = _lowest_pair(spec, s)[1]
+        return abs(samples[s] ** 2) ** 2
+
+    if lo < hi:
+        brent(sq, lo, hi, xs[i], abs(diffs[i] ** 2) ** 2, 1e-14)
+        for _ in range(3):
+            (s1, d1), (s2, d2) = sorted(samples.items(), key=lambda t: abs(t[1]))[:2]
+            q1 = d1**2
+            slope = (q1 - d2**2) / (s1 - s2)
+            if slope == 0:
+                break
+            u = s1 - (q1 / slope).real
+            if not lo <= u <= hi or u in samples:
+                break
+            sq(u)
+            if abs(samples[u]) >= abs(d1):
+                break
+    s_best, d_best = min(samples.items(), key=lambda t: abs(t[1]))
+    return float(s_best), float(abs(d_best))
+
+
 def detect_exceptional_point(
     spec: AnnealSpec,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -158,23 +207,24 @@ def detect_exceptional_point(
     Both signatures are required: a tiny gap with orthogonal eigenvectors is
     an ordinary (diabolic) near-crossing and returns ``None``.  The gap is
     scanned on a uniform grid of ``grid_points``, or, when a ``trace`` of
-    ``spec`` is given, its sampled gaps are polished instead and no new scan
-    is made.
+    ``spec`` is given, its samples are polished instead and no new scan is
+    made.  Every grid-local minimum is polished by
+    :func:`_polish_discriminant`, and the candidates are tested in ascending
+    order of their gap.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-
-    def f(s: float) -> float:
-        return gap_at(spec, s)
-
     if trace is None:
-        ss = uniform_grid(grid_points)
-        vals = [f(float(s)) for s in ss]
+        ss = [float(s) for s in uniform_grid(grid_points)]
+        diffs = [_lowest_pair(spec, s)[1] for s in ss]
     else:
         ss = [sn.s for sn in trace.snapshots]
-        vals = [sn.gap for sn in trace.snapshots]
+        diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in trace.snapshots]
+    gaps = [float(abs(d)) for d in diffs]
+    cands = [_polish_discriminant(spec, ss, diffs, i) for i in local_minima_indices(gaps)]
+    cands.sort(key=lambda c: c[1])
     gap_tol = EP_GAP_FACTOR * (maxnorm(spec.h0) + maxnorm(spec.h1))
-    for s_min, gap_min in polished_minima(f, ss, vals, 1e-14):
+    for s_min, gap_min in cands:
         if gap_min >= gap_tol:
             break
         overlap = _ground_pair_overlap(spec, s_min)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nhaqo.errors import DefectiveSystem
 from nhaqo.linalg import (
     EigenSystem,
+    _fix_column_phases,
     biorthonormal_eigensystem,
     biorthonormalize,
     eig_nonhermitian,
@@ -259,3 +260,26 @@ def test_jordan_blocks_flag_without_floating_point_warnings(m, flags):
     assert list(es.defect_flags) == flags
     assert np.all(np.isfinite(es.left_vectors))
     assert np.allclose(np.linalg.norm(es.left_vectors, axis=1), 1.0)
+
+
+def _fix_column_phases_loop(cols):
+    # reference: one column at a time
+    out = cols.copy()
+    for i in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, i])))
+        p = out[k, i]
+        if p != 0:
+            out[:, i] *= abs(p) / p
+    return out
+
+
+def test_column_phases_match_the_column_loop_bitwise():
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        right = np.linalg.eig(random_complex(rng, 32))[1]
+        right[:, 5] = 0.0  # a zero column keeps its phase
+        fixed = _fix_column_phases(right)
+        assert fixed.tobytes() == _fix_column_phases_loop(right).tobytes()
+        assert fixed.flags.c_contiguous  # the layout the loop's copy has
+        peaks = fixed[np.argmax(np.abs(fixed), axis=0), np.arange(32)]
+        assert np.all(peaks[np.arange(32) != 5].imag == 0.0)

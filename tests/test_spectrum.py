@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nhaqo._minimize
 import nhaqo.spectrum
+from nhaqo._minimize import brent, local_minima_indices, refine_minimum, uniform_grid
 from nhaqo.cli import build_config, run_gap_trace
 from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
 from nhaqo.linalg import eig_nonhermitian, maxnorm
@@ -21,6 +24,9 @@ from nhaqo.model import (
     two_level_spec,
 )
 from nhaqo.spectrum import (
+    EP_GAP_FACTOR,
+    _lowest_pair,
+    _polish_discriminant,
     detect_exceptional_point,
     find_crossover,
     gap_at,
@@ -29,6 +35,11 @@ from nhaqo.spectrum import (
 )
 
 SMALL_ALPHA = float(np.arcsin(1e-3))
+EP_ALPHA = float(np.arccos(0.8))
+#: decay strength of two_level_spec(1.0, d0, EP_ALPHA) that passes through the EP at s = 5/9
+EP_D0 = 0.75
+#: the same decay shifted by 1e-3*J at the touch point, which removes the EP
+EP_D0_SHIFTED = 0.75 + 1e-3 * (5.0 / 9.0) / (4.0 / 9.0)
 
 
 def test_snapshot_diagonal_endpoint():
@@ -203,26 +214,30 @@ def test_trace_gap_computes_no_eigenvectors(monkeypatch):
 
 
 def test_gap_trace_scans_each_grid_point_once(monkeypatch, tmp_path):
-    # every H(s) outside golden-section polishing belongs to one trace sample:
+    # every H(s) outside polishing (golden section for the crossover, the
+    # discriminant polish for EP candidates) belongs to one trace sample:
     # the uniform grid once plus the refined points, with no second scan
     polishing = [False]
     scanned, polished = [], []
     build = nhaqo.spectrum.total_hamiltonian
-    golden = nhaqo._minimize.golden_section
 
     def counted_build(spec, s):
         (polished if polishing[0] else scanned).append(s)
         return build(spec, s)
 
-    def flagged_golden(*args, **kwargs):
-        polishing[0] = True
-        try:
-            return golden(*args, **kwargs)
-        finally:
-            polishing[0] = False
+    def flagged(polisher):
+        def run(*args, **kwargs):
+            polishing[0] = True
+            try:
+                return polisher(*args, **kwargs)
+            finally:
+                polishing[0] = False
+
+        return run
 
     monkeypatch.setattr(nhaqo.spectrum, "total_hamiltonian", counted_build)
-    monkeypatch.setattr(nhaqo._minimize, "golden_section", flagged_golden)
+    monkeypatch.setattr(nhaqo._minimize, "golden_section", flagged(nhaqo._minimize.golden_section))
+    monkeypatch.setattr(nhaqo.spectrum, "_polish_discriminant", flagged(nhaqo.spectrum._polish_discriminant))
     cfg = build_config(
         "gap-trace",
         overrides=["model=ising", "n_qubits=4", "seed=130", "delta0=0.5", "grid_points=101"],
@@ -251,19 +266,17 @@ def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
 
 def test_ep_detected_at_constructed_coalescence():
     # drive and decay tuned to meet the coalescence conditions at s = 5/9
-    alpha = float(np.arccos(0.8))
-    spec = two_level_spec(1.0, 0.75, alpha)
+    spec = two_level_spec(1.0, EP_D0, EP_ALPHA)
     ep = detect_exceptional_point(spec, 1001)
     assert ep is not None
     assert ep.s == pytest.approx(5.0 / 9.0, abs=1e-6)
-    assert ep.gap < 2e-6
+    # the gap closes like sqrt|s - 5/9|: golden section to xtol 1e-14 stopped at 2.9e-8
+    assert ep.gap < 1e-7
     assert ep.overlap > 0.99
 
 
 def test_ep_removed_by_decay_perturbation():
-    alpha = float(np.arccos(0.8))
-    d0 = 0.75 + 1e-3 * (5.0 / 9.0) / (4.0 / 9.0)  # shifts delta by 1e-3*J at the touch point
-    assert detect_exceptional_point(two_level_spec(1.0, d0, alpha), 1001) is None
+    assert detect_exceptional_point(two_level_spec(1.0, EP_D0_SHIFTED, EP_ALPHA), 1001) is None
 
 
 def test_ep_not_reported_when_decay_dominates():
@@ -290,3 +303,69 @@ def test_gap_at_matches_snapshot():
     spec = ising_anneal_spec(2, seed=1, delta0=0.3)
     for s in (0.1, 0.55, 0.9):
         assert gap_at(spec, s) == pytest.approx(instantaneous_spectrum(spec, s).gap, abs=1e-12)
+
+
+def test_brent_finds_smooth_kinked_and_boundary_minima():
+    calls = []
+
+    def counted(f):
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return g
+
+    x, fx = brent(counted(lambda x: (x - 0.3) ** 4 + (x - 0.3) ** 2 + 1.0), 0.2, 0.4, 0.31, 1.0001 + 1e-8, 1e-14)
+    assert x == pytest.approx(0.3, abs=1e-7)
+    assert fx == pytest.approx(1.0, abs=1e-14)
+    assert len(calls) < 20
+    # a kink, and a minimum on the bracket's end: the best point is returned
+    assert brent(lambda x: abs(x - 0.7), 0.6, 0.8, 0.6, 0.1, 1e-14)[0] == pytest.approx(0.7, abs=1e-7)
+    x, fx = brent(lambda x: x, 0.0, 0.01, 0.005, 0.005, 1e-14)
+    assert 0.0 <= x < 1e-7 and fx == x
+    assert all(0.2 <= c <= 0.4 for c in calls)
+
+
+def test_ep_search_polishes_each_minimum_in_at_most_25_eigensolves(monkeypatch):
+    spec = ising_anneal_spec(6, seed=1, delta0=0.5)
+    minima = local_minima_indices([gap_at(spec, float(s)) for s in uniform_grid(201)])
+    calls = []
+    for name in ("eigvals", "eig"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver: calls.append(a.shape) or _solver(a))
+    detect_exceptional_point(spec, 201)
+    # golden section spent 63 eigensolves on every minimum
+    assert len(calls) <= 201 + 25 * len(minima)
+
+
+def _discriminant_jumps(spec, s: float, scale: float) -> bool:
+    """True where (E_1 - E_0)^2 is discontinuous: the (Re, Im) order swaps level 1 with level 2."""
+    q_left, q_right = (_lowest_pair(spec, s + h)[1] ** 2 for h in (-1e-12, 1e-12))
+    return abs(q_left - q_right) > 1e-6 * scale**2
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    spec=st.builds(two_level_spec, st.just(1.0), st.floats(0.0, 1.5), st.floats(0.05, float(np.pi / 2))),
+    grid=st.just(1001),
+)
+@example(spec=two_level_spec(1.0, EP_D0, EP_ALPHA), grid=1001)
+@example(spec=two_level_spec(1.0, EP_D0_SHIFTED, EP_ALPHA), grid=1001)
+@example(spec=two_level_spec(1.0, 0.0, float(np.arcsin(1e-8))), grid=1001)
+@example(spec=ising_anneal_spec(6, seed=1, delta0=0.5), grid=201)
+@example(spec=ising_anneal_spec(6, seed=9973, delta0=0.5), grid=201)
+def test_discriminant_polish_agrees_with_golden_section(spec, grid):
+    ss = [float(s) for s in uniform_grid(grid)]
+    diffs = [_lowest_pair(spec, s)[1] for s in ss]
+    gaps = [float(abs(d)) for d in diffs]
+    scale = maxnorm(spec.h0) + maxnorm(spec.h1)
+    gap_tol = EP_GAP_FACTOR * scale
+    for i in local_minima_indices(gaps):
+        s_new, g_new = _polish_discriminant(spec, ss, diffs, i)
+        s_ref, g_ref = refine_minimum(lambda s: gap_at(spec, s), ss, gaps, i, xtol=1e-14)
+        assert (g_new < gap_tol) == (g_ref < gap_tol)
+        if _discriminant_jumps(spec, s_ref, scale):
+            # the gap jumps at s_ref: Brent brackets the jump to its tolerance
+            assert abs(s_new - s_ref) <= 1e-7
+        else:
+            assert g_new <= g_ref + 1e-12 * scale
