@@ -2,8 +2,9 @@
 
 The explicit Dormand-Prince 8(5,3) pair (DOP853: 12 stages, an 8th-order
 solution, an error blended from 5th- and 3rd-order estimates) integrates
-i d|psi>/dt = H(t/tau)|psi>; it needs no matrix exponential per step, and a
-diagonal problem term is applied elementwise.  The per-component error is
+i d|psi>/dt = H(t/tau)|psi>; it needs no matrix exponential per step, and
+both Hamiltonian terms act through their XOR-diagonals m[r, r ^ k], so no
+dense matrix-vector product is formed.  The per-component error is
 measured relative to the state's norm, so the accuracy of the unit state does
 not depend on how far the norm has decayed.  The adjoint mode evolves the
 left state under the conjugate-transposed generator so that the bi-orthogonal
@@ -80,6 +81,10 @@ _E5 = np.array([
     -0.022355307863886294,
 ])
 _STAGES = len(_C)
+# a stage's input psi + sum_j a_ij (h k_j) as one row against [psi, h k_0, ...],
+# and the new state and both error estimates as three rows against the same
+_ROWS = np.array([[1.0, *row] + [0.0] * (_STAGES - row.size) for row in _A])
+_FINAL = np.array([[1.0, *_B], [0.0, *_E5], [0.0, *_E3]])
 
 
 @dataclass
@@ -99,7 +104,8 @@ def success_probability(result_state, h0) -> float:
     Returns |<g0|psi>|^2 / <psi|psi>; division by the state norm compensates
     non-Hermitian norm loss.  A degenerate ground space (gap of ``h0`` below
     1e-10) falls back to the projector overlap onto the whole ground space
-    and emits :class:`DegenerateTargetWarning`.
+    and emits :class:`DegenerateTargetWarning`.  A diagonal ``h0`` (every
+    Ising problem) is read off the amplitudes, with no eigensolve.
     """
     a = ensure_operator(h0)
     if not is_hermitian(a):
@@ -108,8 +114,14 @@ def success_probability(result_state, h0) -> float:
     nrm2 = float(np.vdot(psi, psi).real)
     if nrm2 <= 0.0:
         raise ValueError("state has zero norm")
-    vals, vecs = np.linalg.eigh(a)
-    ground = np.nonzero(vals - vals[0] <= 1e-10)[0]
+    diag = np.diagonal(a).real
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        ground = np.flatnonzero(diag - diag.min() <= 1e-10)
+        amps = psi[ground]
+    else:
+        vals, vecs = np.linalg.eigh(a)
+        ground = np.flatnonzero(vals - vals[0] <= 1e-10)
+        amps = vecs[:, ground].conj().T @ psi
     if ground.size > 1:
         warnings.warn(
             DegenerateTargetWarning(
@@ -117,9 +129,7 @@ def success_probability(result_state, h0) -> float:
             ),
             stacklevel=2,
         )
-        amps = vecs[:, ground].conj().T @ psi
-        return float(np.sum(np.abs(amps) ** 2) / nrm2)
-    return float(abs(np.vdot(vecs[:, 0], psi)) ** 2 / nrm2)
+    return float(np.sum(np.abs(amps) ** 2) / nrm2)
 
 
 def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
@@ -138,6 +148,32 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
         raise AmbiguousGround("two lowest real parts coincide at s = 0")
     v = es.right_vectors[:, 0]
     return v / np.linalg.norm(v)
+
+
+def _xor_terms(spec: AnnealSpec, adjoint: bool, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """The generator -i H as XOR-diagonals: (m @ y)[r] = sum_k m[r, r ^ k] y[r ^ k].
+
+    Keeps the masks k where h0 or h1 has a nonzero entry, mask 0 first (an
+    Ising problem is mask 0 alone, the transverse driver n bit flips).
+    Returns ``idx[j, r] = r ^ k_j`` and a (3, masks * dim) stack whose rows,
+    weighted by f0, f1 and f2, sum to the generator: -i h0, -i h1 and the
+    decay term -(h1 + shift).  ``adjoint`` conjugate-transposes the terms and
+    flips the decay term's sign: the generator -i H^dagger of the left state.
+    """
+    h0, h1, sign = spec.h0, spec.h1, -1.0
+    if adjoint:
+        h0, h1, sign = h0.conj().T, h1.conj().T, 1.0
+    rows = np.arange(h0.shape[0])
+    used = rows == 0  # mask 0 always: the shift sits on the diagonal
+    for r, c in (np.nonzero(h0), np.nonzero(h1)):
+        used[r ^ c] = True
+    idx = rows ^ np.flatnonzero(used)[:, None]
+    terms = np.empty((3,) + idx.shape, dtype=complex)
+    terms[0] = -1j * h0[rows, idx]
+    terms[1] = -1j * h1[rows, idx]
+    terms[2] = sign * h1[rows, idx]
+    terms[2, 0] += sign * shift
+    return idx, terms.reshape(3, -1)
 
 
 def evolve(
@@ -177,30 +213,11 @@ def evolve(
     if decaying_driver:
         lowest = float(np.linalg.eigvalsh(spec.h1)[0])
         shift = -lowest if lowest < 0 else 0.0
-
-    h0 = spec.h0
-    h1 = spec.h1
-    sched = spec.schedule
-    if adjoint:
-        h0 = h0.conj().T
-        h1 = h1.conj().T
-    # a diagonal problem term (every Ising spec) acts elementwise
-    h0_diag = np.diagonal(h0)
-    h0_is_diagonal = np.count_nonzero(h0) == np.count_nonzero(h0_diag)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        s = t / tau
-        f0 = sched.f0(s)
-        f1 = sched.f1(s)
-        f2 = sched.f2(s)
-        w1 = f1 - 1j * f2
-        if adjoint:
-            w1 = np.conj(w1)  # generator is the conjugate transpose of the forward one
-        h0y = h0_diag * y if h0_is_diagonal else h0 @ y
-        out = (-1j * f0) * h0y + (-1j * w1) * (h1 @ y)
-        if shift != 0.0 and f2 != 0.0:
-            out = out - (f2 * shift) * y
-        return out
+    f0, f1, f2 = spec.schedule.f0, spec.schedule.f1, spec.schedule.f2
+    idx, terms = _xor_terms(spec, adjoint, shift)
+    terms = terms.view(np.float64)  # real weights times complex terms: one real matmul
+    weights_flat = np.empty((_STAGES, terms.shape[1]))
+    weights = weights_flat.view(complex).reshape((_STAGES,) + idx.shape)
 
     sample_times = np.arange(samples) / (samples - 1) * tau
     min_step = tau * MIN_STEP_FACTOR
@@ -209,22 +226,32 @@ def evolve(
     h = tau / max(samples - 1, 100) / 10.0
     steps = 0
     max_err = 0.0
-    k = np.empty((_STAGES, psi.shape[0]), dtype=complex)
+    # hk holds the state and then each stage times the step; per stage: its
+    # tableau row, the rows of hk it reads and the row it writes
+    hk = np.empty((_STAGES + 1, psi.shape[0]), dtype=complex)
+    hk_flat = hk.view(np.float64)
+    stages = [(_ROWS[i, : i + 1], hk_flat[: i + 1], hk[i + 1]) for i in range(_STAGES)]
+    buf = np.empty(idx.shape, dtype=complex)
 
     for t_target in sample_times[1:]:
         while t < t_target:
             capped = h > t_target - t
             h_try = min(h, t_target - t)
-            k[0] = rhs(t, psi)
-            for i in range(1, _STAGES):
-                k[i] = rhs(t + _C[i] * h_try, psi + h_try * (_A[i] @ k[:i]))
+            stage_s = ((t + _C * h_try) / tau).tolist()
+            coef = np.array([(f0(s), f1(s), f2(s)) for s in stage_s], dtype=float)
+            np.matmul(h_try * coef, terms, out=weights_flat)
+            hk[0] = psi
+            for (row, past, out), w in zip(stages, weights):
+                y = np.dot(row, past).view(complex)
+                np.multiply(w, y[idx], out=buf)
+                np.add.reduce(buf, axis=0, out=out)
+            sol = (_FINAL @ hk_flat).view(complex)
             # Hairer's blend of the 5th- and 3rd-order estimates, max norm,
             # relative to the state's norm: the error of the unit state
-            e5 = float(np.max(np.abs(h_try * (_E5 @ k)))) / nrm
-            e3 = float(np.max(np.abs(h_try * (_E3 @ k)))) / nrm
+            e5, e3 = (np.abs(sol[1:]).max(axis=1) / nrm).tolist()
             err = 0.0 if e5 == 0.0 else e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
             if err <= tol:
-                psi = psi + h_try * (_B @ k)
+                psi = sol[0]
                 t = t + h_try
                 steps += 1
                 max_err = max(max_err, err)

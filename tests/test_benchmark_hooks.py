@@ -1,10 +1,12 @@
 """The benchmark's tracer finds every function it wraps by name on the package."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+from nhaqo.evolve import evolve, initial_ground_state
 from nhaqo.model import ising_anneal_spec
 from nhaqo.spectrum import trace_gap
 
@@ -31,3 +33,22 @@ def test_trace_gap_binds_grid_points():
     # the tracer counts refined points as len(snapshots) - grid_points
     bound = inspect.signature(trace_gap).bind(ising_anneal_spec(2, seed=1), 201)
     assert bound.arguments["grid_points"] == 201
+
+
+def test_evolve_calls_schedule_f0_once_per_stage():
+    # the tracer counts evolve.h_evals as schedule.f0 calls inside evolve:
+    # one per stage, 12 per attempted step
+    spec = ising_anneal_spec(3, seed=2, delta0=0.5, tau=5.0)
+    initial = initial_ground_state(spec)
+    f0 = spec.schedule.f0
+    calls = 0
+
+    def counted_f0(s):
+        nonlocal calls
+        calls += 1
+        return f0(s)
+
+    counted = dataclasses.replace(spec, schedule=dataclasses.replace(spec.schedule, f0=counted_f0))
+    res = evolve(counted, initial, decaying_driver=True)
+    assert calls % 12 == 0
+    assert calls >= 12 * res.steps_taken

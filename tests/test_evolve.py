@@ -5,11 +5,14 @@ import importlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhaqo.errors import AmbiguousGround, DegenerateTargetWarning, StepUnderflow
 from nhaqo.evolve import evolve, initial_ground_state, success_probability
@@ -137,17 +140,23 @@ def test_norm_monotone_with_decaying_driver():
 
 
 def test_adjoint_pairing_is_conserved():
-    spec = ising_anneal_spec(2, seed=3, delta0=0.5, tau=5.0)
-    es = biorthonormal_eigensystem(total_hamiltonian(spec, 0.0))
-    psi0 = es.right_vectors[:, 0]
-    left_row = es.left_vectors[0]
-    chi0 = left_row.conj()
-    scale = np.linalg.norm(chi0)
-    fwd = evolve(spec, psi0, samples=51)
-    adj = evolve(spec, chi0 / scale, adjoint=True, samples=51)
-    start = left_row @ psi0
-    end = np.vdot(adj.final_state * scale, fwd.final_state)
-    assert abs(end - start) < 1e-7
+    # the decaying driver's shift enters the adjoint generator with the
+    # opposite sign; with the forward sign the n=3 pairing fell from 1 to 5.5e-4
+    cases = [
+        (ising_anneal_spec(2, seed=3, delta0=0.5, tau=5.0), False),
+        (ising_anneal_spec(3, seed=2, delta0=0.5, tau=5.0), True),
+    ]
+    for spec, decaying in cases:
+        es = biorthonormal_eigensystem(total_hamiltonian(spec, 0.0))
+        psi0 = es.right_vectors[:, 0]
+        left_row = es.left_vectors[0]
+        chi0 = left_row.conj()
+        scale = np.linalg.norm(chi0)
+        fwd = evolve(spec, psi0, samples=51, decaying_driver=decaying)
+        adj = evolve(spec, chi0 / scale, adjoint=True, samples=51, decaying_driver=decaying)
+        start = left_row @ psi0
+        end = np.vdot(adj.final_state * scale, fwd.final_state)
+        assert abs(end - start) < 1e-7
 
 
 def test_step_halving_convergence():
@@ -202,6 +211,85 @@ def test_success_probability_degenerate_target_warns():
     with pytest.warns(DegenerateTargetWarning):
         p = success_probability(psi, h0)
     assert p == pytest.approx(1.0)
+
+
+def eigh_success_probability(psi, h0):
+    """Reference: overlap with the ground space from a dense eigensolve."""
+    vals, vecs = np.linalg.eigh(h0)
+    ground = vecs[:, vals - vals[0] <= 1e-10]
+    return float(np.sum(np.abs(ground.conj().T @ psi) ** 2) / np.vdot(psi, psi).real)
+
+
+def test_success_probability_on_diagonal_target_matches_eigensolve():
+    rng = np.random.default_rng(5)
+    targets = [
+        np.diag(rng.normal(size=16)).astype(complex),
+        np.diag([0.3, -1.2, 0.8, -1.2 + 5e-11, 2.0, -1.2, 0.1, 0.0]).astype(complex),
+        ising_anneal_spec(5, seed=4).h0,
+    ]
+    for h0 in targets:
+        psi = 0.3 * random_unit(rng, h0.shape[0])
+        degenerate = np.count_nonzero(h0.diagonal().real - h0.diagonal().real.min() <= 1e-10) > 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = success_probability(psi, h0)
+        assert any(issubclass(w.category, DegenerateTargetWarning) for w in caught) == degenerate
+        assert p == pytest.approx(eigh_success_probability(psi, h0), rel=1e-12, abs=1e-15)
+
+
+def dense_frozen_spec():
+    rng = np.random.default_rng(8)
+    return frozen_spec(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)), tau=1.0)
+
+
+APPLY_CASES = {
+    **{f"ising-{n}": (lambda n=n: ising_anneal_spec(n, seed=n, delta0=0.7)) for n in range(1, 7)},
+    "two-level": lambda: two_level_spec(1.3, 0.4, 1e-8),
+    "frozen-dense": dense_frozen_spec,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(APPLY_CASES)),
+    s=st.floats(0.0, 1.0),
+    h=st.floats(1e-3, 2.0),
+    shift=st.sampled_from([0.0, 2.5]),
+    adjoint=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case="ising-1", s=0.3, h=0.1, shift=0.0, adjoint=False, seed=1)
+@example(case="ising-2", s=0.0, h=0.5, shift=2.5, adjoint=True, seed=2)
+@example(case="ising-3", s=0.7, h=1.0, shift=2.5, adjoint=False, seed=3)
+@example(case="ising-4", s=1.0, h=0.2, shift=0.0, adjoint=True, seed=4)
+@example(case="ising-5", s=0.5, h=0.05, shift=2.5, adjoint=True, seed=5)
+@example(case="ising-6", s=0.25, h=1.5, shift=2.5, adjoint=False, seed=6)
+@example(case="two-level", s=0.6, h=0.3, shift=2.5, adjoint=True, seed=7)
+@example(case="frozen-dense", s=0.4, h=0.7, shift=2.5, adjoint=True, seed=8)
+@example(case="frozen-dense", s=0.9, h=0.7, shift=0.0, adjoint=False, seed=9)
+def test_xor_terms_apply_the_generator(case, s, h, shift, adjoint, seed):
+    # forward: -i h H(s) v minus the decay shift h f2(s) shift v; the adjoint
+    # generator takes the conjugate transpose, which flips the shift's sign
+    spec = APPLY_CASES[case]()
+    v = random_unit(np.random.default_rng(seed), spec.h0.shape[0])
+    ham = total_hamiltonian(spec, s)
+    sign = -1.0
+    if adjoint:
+        ham, sign = ham.conj().T, 1.0
+    sched = spec.schedule
+    expect = -1j * h * (ham @ v) + sign * h * sched.f2(s) * shift * v
+    idx, terms = evolve_module._xor_terms(spec, adjoint, shift)
+    weights = (h * np.array([sched.f0(s), sched.f1(s), sched.f2(s)])) @ terms
+    got = np.sum(weights.reshape(idx.shape) * v[idx], axis=0)
+    scale = h * (np.abs(ham).sum(axis=1).max() + shift)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+
+def test_xor_terms_keep_only_the_masks_in_use():
+    # an Ising problem is mask 0 alone, the transverse driver its n bit flips
+    idx, terms = evolve_module._xor_terms(ising_anneal_spec(4, seed=1), False, 0.0)
+    assert idx.shape == (5, 16) and terms.shape == (3, 5 * 16)
+    assert idx[:, 0].tolist() == [0, 1, 2, 4, 8]
 
 
 def test_initial_ground_state_transverse_driver():
@@ -271,6 +359,27 @@ def test_evolve_matches_scipy_on_time_dependent_generator():
             assert res.steps_taken <= max_steps
 
 
+def test_decaying_n8_anneal_matches_scipy():
+    # the benchmark's n=8 decaying-driver path against scipy's DOP853
+    integrate = pytest.importorskip("scipy.integrate")
+    spec = ising_anneal_spec(8, seed=1, delta0=0.5, tau=10.0)
+    v0 = initial_ground_state(spec)
+    shift = -float(np.linalg.eigvalsh(spec.h1)[0])
+    h0_diag = np.diagonal(spec.h0)
+    sched = spec.schedule
+
+    def rhs(t, y):
+        s = t / spec.tau
+        w1 = sched.f1(s) - 1j * sched.f2(s)
+        return -1j * (sched.f0(s) * h0_diag * y + w1 * (spec.h1 @ y)) - sched.f2(s) * shift * y
+
+    sol = integrate.solve_ivp(rhs, (0.0, spec.tau), v0, method="DOP853", rtol=1e-12, atol=1e-14)
+    ref = sol.y[:, -1]
+    res = evolve(spec, v0, samples=2, decaying_driver=True)
+    assert res.success_probability == pytest.approx(success_probability(ref, spec.h0), rel=1e-8)
+    assert res.norm_history[-1][1] == pytest.approx(np.linalg.norm(ref), rel=1e-8)
+
+
 def test_vendored_tableau_matches_scipy():
     coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     stages = len(evolve_module._C)
@@ -300,8 +409,6 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_success_probability_monotone_trend_in_tau():
-    import warnings
-
     spec0 = ising_anneal_spec(3, seed=7, delta0=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
