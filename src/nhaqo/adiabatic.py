@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._minimize import uniform_grid
-from .errors import DefectiveSystem, ZeroGap
-from .linalg import biorthonormal_eigensystem
+from .errors import ZeroGap
+from .linalg import lowest_pair_eigensystem
 from .model import AnnealSpec, Schedule, total_hamiltonian
 from .reduction import TwoLevelParams, min_two_level_gap, nonhermitian_min_gap
 
@@ -65,16 +65,13 @@ def _max_drive_flux(params: TwoLevelParams, schedule: Schedule, grid: np.ndarray
 def measured_matrix_element(spec: AnnealSpec, grid_points: int = 1001) -> float:
     """Max over s of the bi-orthogonal element |<psi~_e| dH/ds |psi_g>|.
 
-    Points where the eigensystem is too defective to bi-orthonormalize are
-    skipped.
+    A grid point is skipped exactly when pair 0 or pair 1, the only pairs
+    the element uses, is flagged as coalesced.
     """
     best = 0.0
     for s in uniform_grid(grid_points):
-        try:
-            es = biorthonormal_eigensystem(total_hamiltonian(spec, float(s)))
-        except DefectiveSystem:
-            continue
-        if es.defect_flags[0] or es.defect_flags[1]:
+        es = lowest_pair_eigensystem(total_hamiltonian(spec, float(s)))
+        if es.defect_flags.any():
             continue
         df0, df1, df2 = schedule_rates(spec.schedule, float(s))
         dh = df0 * spec.h0 + (df1 - 1j * df2) * spec.h1
@@ -112,16 +109,6 @@ def min_time_nonhermitian(
         tau_min=float(sin_eff * flux / gap_min**3),
         measured_matrix_element=measured_matrix_element(spec, grid_points),
     )
-
-
-def estimated_matrix_element(params: TwoLevelParams, schedule: Schedule, grid_points: int = 1001) -> float:
-    """Reduced-model estimate max|J dg~/ds - g~ dJ/ds| * sin(alpha) / gap_min."""
-    grid = uniform_grid(grid_points)
-    flux, _ = _max_drive_flux(params, schedule, grid)
-    _, gap_min = min_two_level_gap(params, schedule, grid_points)
-    if gap_min == 0.0:
-        raise ZeroGap("reduced-model gap vanishes")
-    return float(flux * params.sin_alpha / gap_min)
 
 
 def tau_window(

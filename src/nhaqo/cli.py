@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from ._minimize import minimize_on_grid, uniform_grid
+from ._minimize import polished_minima, uniform_grid
 from .adiabatic import min_time_linear_ramp
 from .errors import ConfigError, MultipleMinimaWarning, NhaqoError
 from .evolve import evolve, initial_ground_state
@@ -344,7 +344,7 @@ def run_fig1(cfg: ExperimentConfig) -> str:
             return two_level_gap(params, _sched, s) / cfg.j_star
 
         curves.append([f(float(s)) for s in grid])
-        s_min, gap_min = minimize_on_grid(f, grid, xtol=1e-12)
+        s_min, gap_min = polished_minima(f, grid, curves[-1], 1e-12)[0]
         footers.append(f"# minimum delta0={fmt(d0)} s={fmt(s_min)} gap_over_jstar={fmt(gap_min)}")
     rows = [
         [fmt(s)] + [fmt(curve[i]) for curve in curves]

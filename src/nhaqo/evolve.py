@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteState,
     StepUnderflow,
 )
-from .linalg import eig_nonhermitian, ensure_operator, is_hermitian
+from .linalg import ensure_operator, is_hermitian, lowest_pair_eigensystem
 from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_TOL = 1e-10
@@ -143,7 +143,7 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
     AmbiguousGround
         If the two lowest real parts coincide within 1e-10.
     """
-    es = eig_nonhermitian(total_hamiltonian(spec, 0.0))
+    es = lowest_pair_eigensystem(total_hamiltonian(spec, 0.0))
     if es.dim >= 2 and es.eigenvalues[1].real - es.eigenvalues[0].real <= 1e-10:
         raise AmbiguousGround("two lowest real parts coincide at s = 0")
     v = es.right_vectors[:, 0]

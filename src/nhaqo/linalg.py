@@ -8,9 +8,10 @@ construction.  The unit-normalized overlap |<left|right>| of a pair is the
 reciprocal condition number of its eigenvalue; pairs where it vanishes are
 flagged as coalesced, and the remaining ones can be rescaled into a
 bi-orthonormal system with ``left_vectors @ right_vectors`` equal to the
-identity.  Where only eigenvalues are needed, as along a gap trace,
-:func:`sorted_eigenvalues` returns them in the same order without computing
-any eigenvector.
+identity.  :func:`lowest_pair_eigensystem` forms the left rows of the two
+lowest pairs alone, by one solve with R^T.  Where only eigenvalues are
+needed, as along a gap trace, :func:`sorted_eigenvalues` returns them in the
+same order without computing any eigenvector.
 """
 
 from __future__ import annotations
@@ -108,24 +109,37 @@ def _fix_column_phases(cols: np.ndarray) -> np.ndarray:
     return np.multiply(cols, phases, order="C")
 
 
-def _unit_inverse_rows(right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalized rows of ``right``^-1 and their overlaps with its unit columns.
+def _unit_inverse_rows(right: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``count`` unit-normalized rows of ``right``^-1 and their overlaps with its unit columns.
 
     Row i of the inverse has product 1 with column i, so its unit-normalized
     overlap is 1/|row i|.  Each row is scaled by its largest entry before its
     norm is taken, so a nearly singular ``right`` (entries of the inverse up
     to ~1e292) does not overflow.  An exactly singular ``right`` has no dual
     rows: every pair gets overlap 0 and the conjugated right column in place
-    of its left row.
+    of its left row.  Fewer rows than all come from one solve with ``right``^T.
     """
+    dim = right.shape[0]
     try:
-        inv = np.linalg.inv(right)
+        inv = np.linalg.inv(right) if count == dim else np.linalg.solve(right.T, np.eye(dim, count)).T
     except np.linalg.LinAlgError:
-        return right.conj().T, np.zeros(right.shape[0])
+        return right[:, :count].conj().T, np.zeros(count)
     peak = np.max(np.abs(inv), axis=1)
     rows = inv / peak[:, None]
     norms = np.linalg.norm(rows, axis=1)
     return rows / norms[:, None], 1.0 / peak / norms
+
+
+def _sorted_unit_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit, phase-fixed right vectors, sorted by (Re, Im)."""
+    a = ensure_operator(m)
+    try:
+        vals, right = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise _lapack_failure(a) from exc
+    order = _sort_order(vals)
+    vals, right = vals[order], right[:, order]
+    return vals, _fix_column_phases(right / np.linalg.norm(right, axis=0))
 
 
 def eig_nonhermitian(m) -> EigenSystem:
@@ -143,16 +157,24 @@ def eig_nonhermitian(m) -> EigenSystem:
     ConvergenceFailure
         If LAPACK does not converge.
     """
-    a = ensure_operator(m)
-    try:
-        vals, right = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise _lapack_failure(a) from exc
-    order = _sort_order(vals)
-    vals, right = vals[order], right[:, order]
-    right = _fix_column_phases(right / np.linalg.norm(right, axis=0))
-    left, overlaps = _unit_inverse_rows(right)
+    vals, right = _sorted_unit_eig(m)
+    left, overlaps = _unit_inverse_rows(right, vals.shape[0])
     return EigenSystem(vals, right, left, overlaps < DEFECT_TOLERANCE)
+
+
+def lowest_pair_eigensystem(m) -> EigenSystem:
+    """The first min(2, dim) pairs of :func:`biorthonormal_eigensystem`, without the full inverse.
+
+    Eigenvalues, right vectors and defect flags equal those of
+    :func:`eig_nonhermitian`; the left rows come from one solve with R^T.
+    Coalesced pairs are flagged, never refused.  Raises
+    ``ConvergenceFailure`` if LAPACK does not converge.
+    """
+    vals, right = _sorted_unit_eig(m)
+    left, overlaps = _unit_inverse_rows(right, min(2, len(vals)))
+    flags = overlaps < DEFECT_TOLERANCE
+    raw = np.einsum("ij,ji->i", left, right[:, :2])
+    return EigenSystem(vals[:2], right[:, :2], left / np.where(flags, 1.0, raw)[:, None], flags)
 
 
 def biorthonormalize(es: EigenSystem) -> EigenSystem:

@@ -11,12 +11,13 @@ are evaluated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._minimize import minimize_on_grid, uniform_grid
 from .errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
-from .linalg import eig_nonhermitian, ensure_operator, maxnorm
+from .linalg import ensure_operator, lowest_pair_eigensystem, maxnorm
 from .model import AnnealSpec, Schedule, total_hamiltonian
 
 
@@ -56,19 +57,19 @@ class TwoLevelParams:
         r1 = r1_mag * np.array([np.sin(alpha), 0.0, -np.cos(alpha)])
         return cls(0.0, 0.0, r0, r1, float(alpha))
 
-    @property
+    @cached_property
     def r0_mag(self) -> float:
         return float(np.linalg.norm(self.r0))
 
-    @property
+    @cached_property
     def r1_mag(self) -> float:
         return float(np.linalg.norm(self.r1))
 
-    @property
+    @cached_property
     def cos_alpha(self) -> float:
         return float(np.cos(self.alpha))
 
-    @property
+    @cached_property
     def sin_alpha(self) -> float:
         return float(np.sin(self.alpha))
 
@@ -89,10 +90,10 @@ def build_crossover_basis(spec: AnnealSpec, s_c: float) -> TwoLevelBasis:
     DefectiveAtCrossover
         If the two eigenvectors are coalesced and the subspace is ill-defined.
     """
-    es = eig_nonhermitian(total_hamiltonian(spec, s_c))
+    es = lowest_pair_eigensystem(total_hamiltonian(spec, s_c))
     if es.dim < 2:
         raise ValueError("need dimension >= 2")
-    if bool(es.defect_flags[0]) or bool(es.defect_flags[1]):
+    if es.defect_flags.any():
         raise DefectiveAtCrossover(f"lowest eigenpair coalesced at s={s_c:.6g}")
     v0 = es.right_vectors[:, 0]
     w = es.right_vectors[:, 1] - np.vdot(v0, es.right_vectors[:, 1]) * v0

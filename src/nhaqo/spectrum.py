@@ -22,7 +22,7 @@ import numpy as np
 
 from ._minimize import brent, local_minima_indices, polished_minima, uniform_grid
 from .errors import ConvergenceFailure, MultipleMinimaWarning
-from .linalg import eig_nonhermitian, maxnorm, sorted_eigenvalues
+from .linalg import lowest_pair_eigensystem, maxnorm, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_GRID_POINTS = 1001
@@ -153,7 +153,7 @@ class ExceptionalPoint:
 
 
 def _ground_pair_overlap(spec: AnnealSpec, s: float) -> float:
-    right = eig_nonhermitian(total_hamiltonian(spec, s)).right_vectors
+    right = lowest_pair_eigensystem(total_hamiltonian(spec, s)).right_vectors
     return float(abs(np.vdot(right[:, 0], right[:, 1])))
 
 

@@ -3,18 +3,73 @@
 import numpy as np
 import pytest
 
+from nhaqo._minimize import uniform_grid
 from nhaqo.adiabatic import (
-    estimated_matrix_element,
+    _max_drive_flux,
     measured_matrix_element,
     min_time_linear_ramp,
     min_time_nonhermitian,
     schedule_rates,
     tau_window,
 )
-from nhaqo.model import linear_schedule, two_level_spec
-from nhaqo.reduction import build_crossover_basis, decompose_schedule_params, nonhermitian_min_gap
+from nhaqo.errors import DefectiveSystem
+from nhaqo.linalg import biorthonormal_eigensystem
+from nhaqo.model import ising_anneal_spec, linear_schedule, total_hamiltonian, two_level_spec
+from nhaqo.reduction import (
+    build_crossover_basis,
+    decompose_schedule_params,
+    min_two_level_gap,
+    nonhermitian_min_gap,
+)
 
 SMALL_ALPHA = float(np.arcsin(1e-3))
+
+
+def estimated_matrix_element(params, schedule, grid_points=1001):
+    """Reduced-model estimate max|J dg~/ds - g~ dJ/ds| * sin(alpha) / gap_min."""
+    flux, _ = _max_drive_flux(params, schedule, uniform_grid(grid_points))
+    _, gap_min = min_two_level_gap(params, schedule, grid_points)
+    assert gap_min > 0.0
+    return float(flux * params.sin_alpha / gap_min)
+
+
+def full_eigensystem_matrix_element(spec, grid_points):
+    """Reference: the element read off the full bi-orthonormal eigensystem at each grid point."""
+    best = 0.0
+    for s in uniform_grid(grid_points):
+        try:
+            es = biorthonormal_eigensystem(total_hamiltonian(spec, float(s)))
+        except DefectiveSystem:
+            continue
+        if es.defect_flags[0] or es.defect_flags[1]:
+            continue
+        df0, df1, df2 = schedule_rates(spec.schedule, float(s))
+        dh = df0 * spec.h0 + (df1 - 1j * df2) * spec.h1
+        best = max(best, float(abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0]))))
+    return best
+
+
+def benchmark_pipeline_spec(seed):
+    """The n=5 pipeline instance of the benchmark: fields and all-pair couplings on [-1, 1]."""
+    rng = np.random.default_rng([seed, 0])
+    fields = [float(x) for x in rng.uniform(-1.0, 1.0, size=5)]
+    couplings = [(i, j, float(rng.uniform(-1.0, 1.0))) for i in range(5) for j in range(i + 1, 5)]
+    return ising_anneal_spec(5, fields=fields, couplings=couplings, delta0=0.5)
+
+
+@pytest.mark.parametrize("seed, reference", [(1, 1.9513057031658827), (9973, 2.5998796637632586)])
+def test_measured_matrix_element_matches_full_eigensystems_on_benchmark_instances(seed, reference):
+    spec = benchmark_pipeline_spec(seed)
+    full = full_eigensystem_matrix_element(spec, 1001)
+    assert full == pytest.approx(reference, rel=1e-12)
+    assert measured_matrix_element(spec, 1001) == pytest.approx(full, rel=1e-12)
+
+
+def test_measured_matrix_element_matches_full_eigensystems_on_two_level_model():
+    spec = two_level_spec(1.0, 0.5, float(np.arcsin(0.1)))
+    full = full_eigensystem_matrix_element(spec, 501)
+    assert full > 0.0
+    assert measured_matrix_element(spec, 501) == pytest.approx(full, rel=1e-12)
 
 
 def test_schedule_rates_linear():

@@ -6,6 +6,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from nhaqo import cli
+from nhaqo.adiabatic import measured_matrix_element
 from nhaqo.evolve import evolve, initial_ground_state
 from nhaqo.model import ising_anneal_spec
 from nhaqo.spectrum import trace_gap
@@ -52,3 +56,33 @@ def test_evolve_calls_schedule_f0_once_per_stage():
     res = evolve(counted, initial, decaying_driver=True)
     assert calls % 12 == 0
     assert calls >= 12 * res.steps_taken
+
+
+def counting(monkeypatch, holder, name):
+    """Replace ``holder.name`` by a wrapper that counts its calls; returns the count list."""
+    fn = getattr(holder, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_measured_matrix_element_makes_one_eig_per_point_and_no_inverse(monkeypatch):
+    spec = ising_anneal_spec(5, seed=1, delta0=0.5)
+    eig_calls = counting(monkeypatch, np.linalg, "eig")
+    inv_calls = counting(monkeypatch, np.linalg, "inv")
+    measured_matrix_element(spec, grid_points=51)
+    assert len(eig_calls) == 51
+    assert inv_calls == []
+
+
+def test_fig1_scans_each_curve_once(monkeypatch, tmp_path):
+    # the grid scan is 201 gap evaluations; polishing its minimum adds a few dozen
+    calls = counting(monkeypatch, cli, "two_level_gap")
+    argv = ["fig1", "--set", "delta0_list=0.5", "--set", "grid_points=201", "--out", str(tmp_path / "f.csv")]
+    assert cli.main(argv) == 0
+    assert 201 < len(calls) < 402

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhaqo.errors import DefectiveSystem
@@ -17,6 +17,7 @@ from nhaqo.linalg import (
     eig_nonhermitian,
     hermitian_defect,
     is_hermitian,
+    lowest_pair_eigensystem,
     maxnorm,
 )
 from nhaqo.model import ising_anneal_spec, total_hamiltonian
@@ -257,9 +258,12 @@ def test_jordan_blocks_flag_without_floating_point_warnings(m, flags):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         es = eig_nonhermitian(m)
+        low = lowest_pair_eigensystem(m)
     assert list(es.defect_flags) == flags
-    assert np.all(np.isfinite(es.left_vectors))
-    assert np.allclose(np.linalg.norm(es.left_vectors, axis=1), 1.0)
+    assert list(low.defect_flags) == flags[:2]
+    for vectors in (es.left_vectors, low.left_vectors):
+        assert np.all(np.isfinite(vectors))
+        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0)
 
 
 def _fix_column_phases_loop(cols):
@@ -283,3 +287,36 @@ def test_column_phases_match_the_column_loop_bitwise():
         assert fixed.flags.c_contiguous  # the layout the loop's copy has
         peaks = fixed[np.argmax(np.abs(fixed), axis=0), np.arange(32)]
         assert np.all(peaks[np.arange(32) != 5].imag == 0.0)
+
+
+def _ising_snapshot(n, seed, s):
+    return total_hamiltonian(ising_anneal_spec(n, seed=seed, delta0=0.5), s)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    m=st.one_of(
+        st.builds(lambda seed, n: random_complex(np.random.default_rng(seed), n), st.integers(0, 10_000), st.integers(1, 12)),
+        st.builds(_ising_snapshot, st.integers(3, 6), st.integers(0, 10_000), st.floats(0.0, 1.0)),
+    )
+)
+@example(m=random_complex(np.random.default_rng(16), 8))
+@example(m=random_complex(np.random.default_rng(17), 32))
+@example(m=_ising_snapshot(3, 1, 0.4))
+@example(m=_ising_snapshot(4, 2, 0.0))
+@example(m=_ising_snapshot(5, 1, 0.5))
+@example(m=_ising_snapshot(6, 9973, 1.0))
+@example(m=[[0, 1], [0, 0]])  # 2x2 Jordan block
+@example(m=np.diag([1.0, 1.0], 1))  # 3x3 nilpotent block: right vectors exactly singular
+@example(m=[[2.5 - 0.5j]])
+def test_lowest_pair_matches_the_full_eigensystem(m):
+    full = eig_nonhermitian(m)
+    low = lowest_pair_eigensystem(m)
+    k = min(2, full.dim)
+    assert low.dim == k
+    assert np.array_equal(low.eigenvalues, full.eigenvalues[:k])
+    assert np.array_equal(low.right_vectors, full.right_vectors[:, :k])
+    assert np.array_equal(low.defect_flags, full.defect_flags[:k])
+    keep = ~low.defect_flags
+    ov = low.left_vectors @ low.right_vectors
+    assert np.allclose(ov[np.ix_(keep, keep)], np.eye(int(keep.sum())), rtol=0, atol=1e-12)
