@@ -3,6 +3,12 @@
 All "much greater than" inequalities are reported as plain thresholds; the
 caller picks a safety factor.  Schedule derivatives use centered differences
 (one-sided at the interval ends) since schedules are opaque callables.
+
+The measured matrix element's grid goes through
+:func:`nhaqo._scan.split_scan`: at dimension >= 32, with two or more CPUs
+in the affinity mask and no other thread (BLAS pinned to one thread), one
+forked child computes half of the points.  Results are bit-identical to a
+serial scan.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._minimize import uniform_grid
+from ._scan import split_scan
 from .errors import ZeroGap
 from .linalg import lowest_pair_eigensystem
 from .model import AnnealSpec, Schedule, total_hamiltonian
@@ -65,19 +72,19 @@ def _max_drive_flux(params: TwoLevelParams, schedule: Schedule, grid: np.ndarray
 def measured_matrix_element(spec: AnnealSpec, grid_points: int = 1001) -> float:
     """Max over s of the bi-orthogonal element |<psi~_e| dH/ds |psi_g>|.
 
-    A grid point is skipped exactly when pair 0 or pair 1, the only pairs
-    the element uses, is flagged as coalesced.
+    A grid point is skipped (counted as 0) exactly when pair 0 or pair 1,
+    the only pairs the element uses, is flagged as coalesced.
     """
-    best = 0.0
-    for s in uniform_grid(grid_points):
-        es = lowest_pair_eigensystem(total_hamiltonian(spec, float(s)))
+    def element(s: float) -> float:
+        es = lowest_pair_eigensystem(total_hamiltonian(spec, s))
         if es.defect_flags.any():
-            continue
-        df0, df1, df2 = schedule_rates(spec.schedule, float(s))
+            return 0.0
+        df0, df1, df2 = schedule_rates(spec.schedule, s)
         dh = df0 * spec.h0 + (df1 - 1j * df2) * spec.h1
-        elem = abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0]))
-        best = max(best, float(elem))
-    return best
+        return float(abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0])))
+
+    grid = [float(s) for s in uniform_grid(grid_points)]
+    return float(max([0.0, *split_scan(element, grid, spec.h0.shape[0], float)]))
 
 
 def min_time_nonhermitian(

@@ -6,6 +6,12 @@ the endpoints.  The gap is the modulus of the complex difference between the
 two lowest eigenvalues.  Gap traces need eigenvalues only; eigenvectors are
 computed solely where an exceptional-point candidate is confirmed.
 
+The uniform grid of a gap trace, and the exceptional-point scan when no
+trace is given, go through :func:`nhaqo._scan.split_scan`: at dimension
+>= 32, with two or more CPUs in the affinity mask and no other thread (BLAS
+pinned to one thread), one forked child computes half of the points.
+Results are bit-identical to a serial scan.
+
 The crossover is polished by golden section.  Exceptional-point candidates
 are polished on the discriminant (E_1 - E_0)^2 instead: it is analytic
 through an exceptional point, where the gap itself closes like a square
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._minimize import brent, local_minima_indices, polished_minima, uniform_grid
+from ._scan import split_scan
 from .errors import ConvergenceFailure, MultipleMinimaWarning
 from .linalg import lowest_pair_eigensystem, maxnorm, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
@@ -69,10 +76,13 @@ def gap_at(spec: AnnealSpec, s: float) -> float:
     return float(abs(_lowest_pair(spec, s)[1]))
 
 
+def _snapshot(s: float, vals: np.ndarray) -> SpectrumSnapshot:
+    return SpectrumSnapshot(float(s), vals, float(abs(vals[1] - vals[0])))
+
+
 def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
     """Sorted eigenvalues of the total Hamiltonian at s and the gap of the lowest pair."""
-    vals, diff = _lowest_pair(spec, s)
-    return SpectrumSnapshot(float(s), vals, float(abs(diff)))
+    return _snapshot(s, _lowest_pair(spec, s)[0])
 
 
 def _lipschitz_bound(spec: AnnealSpec) -> float:
@@ -96,7 +106,9 @@ def trace_gap(
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    snaps = [instantaneous_spectrum(spec, float(s)) for s in uniform_grid(grid_points)]
+    grid = [float(s) for s in uniform_grid(grid_points)]
+    spectra = split_scan(lambda s: instantaneous_spectrum(spec, s).eigenvalues, grid, spec.h0.shape[0], complex)
+    snaps = [_snapshot(s, vals) for s, vals in zip(grid, spectra)]
     if refine:
         bound = _lipschitz_bound(spec)
         slack = 1e-12 * max(bound, 1.0)
@@ -216,7 +228,7 @@ def detect_exceptional_point(
         raise ValueError("grid_points must be >= 3")
     if trace is None:
         ss = [float(s) for s in uniform_grid(grid_points)]
-        diffs = [_lowest_pair(spec, s)[1] for s in ss]
+        diffs = list(split_scan(lambda s: _lowest_pair(spec, s)[1], ss, spec.h0.shape[0], complex))
     else:
         ss = [sn.s for sn in trace.snapshots]
         diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in trace.snapshots]

@@ -1,5 +1,7 @@
 """Shared corpus definitions and cached spectral data for the test suite."""
 
+import os
+import struct
 import warnings
 
 import numpy as np
@@ -59,3 +61,44 @@ def corpus_data():
 @pytest.fixture(scope="session")
 def reduction_corpus():
     return corpus_data()
+
+
+class CallLog:
+    """Append-only float records that a forked child's appends reach as well.
+
+    Each record goes to a file opened with ``O_APPEND``, which a child forked
+    by a split scan inherits, so calls made in either process are counted.
+    """
+
+    def __init__(self, path):
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND)
+
+    def append(self, value=0.0):
+        os.write(self._fd, struct.pack("<d", value))
+
+    def __len__(self):
+        return os.fstat(self._fd).st_size // 8
+
+    def __iter__(self):
+        data = os.pread(self._fd, 8 * len(self), 0)
+        return iter(struct.unpack(f"<{len(data) // 8}d", data))
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+    def close(self):
+        os.close(self._fd)
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    """Factory of fresh :class:`CallLog` instances, closed after the test."""
+    logs = []
+
+    def make():
+        logs.append(CallLog(tmp_path / f"calls-{len(logs)}.bin"))
+        return logs[-1]
+
+    yield make
+    for log in logs:
+        log.close()

@@ -58,31 +58,31 @@ def test_evolve_calls_schedule_f0_once_per_stage():
     assert calls >= 12 * res.steps_taken
 
 
-def counting(monkeypatch, holder, name):
-    """Replace ``holder.name`` by a wrapper that counts its calls; returns the count list."""
+def counting(monkeypatch, call_log, holder, name):
+    """Replace ``holder.name`` by a wrapper that counts its calls, forked children's too; returns the log."""
     fn = getattr(holder, name)
-    calls = []
+    calls = call_log()
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append()
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(holder, name, counted)
     return calls
 
 
-def test_measured_matrix_element_makes_one_eig_per_point_and_no_inverse(monkeypatch):
+def test_measured_matrix_element_makes_one_eig_per_point_and_no_inverse(monkeypatch, call_log):
     spec = ising_anneal_spec(5, seed=1, delta0=0.5)
-    eig_calls = counting(monkeypatch, np.linalg, "eig")
-    inv_calls = counting(monkeypatch, np.linalg, "inv")
+    eig_calls = counting(monkeypatch, call_log, np.linalg, "eig")
+    inv_calls = counting(monkeypatch, call_log, np.linalg, "inv")
     measured_matrix_element(spec, grid_points=51)
     assert len(eig_calls) == 51
     assert inv_calls == []
 
 
-def test_fig1_scans_each_curve_once(monkeypatch, tmp_path):
+def test_fig1_scans_each_curve_once(monkeypatch, call_log, tmp_path):
     # the grid scan is 201 gap evaluations; polishing its minimum adds a few dozen
-    calls = counting(monkeypatch, cli, "two_level_gap")
+    calls = counting(monkeypatch, call_log, cli, "two_level_gap")
     argv = ["fig1", "--set", "delta0_list=0.5", "--set", "grid_points=201", "--out", str(tmp_path / "f.csv")]
     assert cli.main(argv) == 0
     assert 201 < len(calls) < 402

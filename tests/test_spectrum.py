@@ -213,12 +213,12 @@ def test_trace_gap_computes_no_eigenvectors(monkeypatch):
     assert calls == []
 
 
-def test_gap_trace_scans_each_grid_point_once(monkeypatch, tmp_path):
+def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
     # every H(s) outside polishing (golden section for the crossover, the
     # discriminant polish for EP candidates) belongs to one trace sample:
     # the uniform grid once plus the refined points, with no second scan
     polishing = [False]
-    scanned, polished = [], []
+    scanned, polished = call_log(), call_log()
     build = nhaqo.spectrum.total_hamiltonian
 
     def counted_build(spec, s):
@@ -326,13 +326,13 @@ def test_brent_finds_smooth_kinked_and_boundary_minima():
     assert all(0.2 <= c <= 0.4 for c in calls)
 
 
-def test_ep_search_polishes_each_minimum_in_at_most_25_eigensolves(monkeypatch):
+def test_ep_search_polishes_each_minimum_in_at_most_25_eigensolves(monkeypatch, call_log):
     spec = ising_anneal_spec(6, seed=1, delta0=0.5)
     minima = local_minima_indices([gap_at(spec, float(s)) for s in uniform_grid(201)])
-    calls = []
+    calls = call_log()
     for name in ("eigvals", "eig"):
         solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver: calls.append(a.shape) or _solver(a))
+        monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver: calls.append(a.shape[0]) or _solver(a))
     detect_exceptional_point(spec, 201)
     # golden section spent 63 eigensolves on every minimum
     assert len(calls) <= 201 + 25 * len(minima)
