@@ -7,32 +7,37 @@ first half and one ``os.fork``ed child the second, which it sends back over
 a pipe as raw bytes.  Both halves run the same code on the same inputs, so
 the result is bit-identical to a serial scan.
 
-A scan splits only when all of these hold: the process may run on at least
-two CPUs (``taskset -c 0`` forces a serial scan), it has no thread besides
-the calling one (forking a threaded process is unsafe; OpenBLAS keeps
-worker threads unless ``OPENBLAS_NUM_THREADS=1``), and the matrices have
-dimension >= ``SPLIT_MIN_DIM``.  If the child fails, dies or returns short
-data, its half is recomputed here, raising what a serial scan would.  The
-child's memory is not part of this process's resident set.
+This process always computes the first point itself and times it.  The
+scan splits only when all of these hold: the child's share of the points
+times that time exceeds ``SPLIT_ROUND_TRIP_S``, the process may run on at
+least two CPUs (``taskset -c 0`` forces a serial scan), and it has no thread
+besides the calling one (forking a threaded process is unsafe; OpenBLAS
+keeps worker threads unless ``OPENBLAS_NUM_THREADS=1``).  If the child
+fails, dies or returns short data, its half is recomputed here, raising
+what a serial scan would.  The child's memory is not part of this process's
+resident set.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import time
 import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
-#: smallest matrix dimension whose scans are split: a fork round trip takes about 4-5 ms,
-#: and one dense eigensolve costs at least 0.5 ms at dim 32 (0.25 ms at dim 16; one core)
-SPLIT_MIN_DIM = 32
+#: wall time a split adds to a scan (fork, pipe, the child's exit, reaping): 4.5-6 ms for a
+#: 38 MB process on a 2-CPU x86-64 machine.  Gap-trace scans there broke even at 3.5-9 ms of
+#: the child's points times the first point's time (dim 8 near 170 points, dim 16 near 61,
+#: dim 32 near 22); near the break-even the two choices differ by about one round trip at most.
+SPLIT_ROUND_TRIP_S = 0.005
 
 
-def _can_split(dim: int) -> bool:
+def _can_split() -> bool:
     try:
-        return dim >= SPLIT_MIN_DIM and len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
     except (AttributeError, OSError):  # no affinity mask or no /proc: not Linux
         return False
 
@@ -78,20 +83,23 @@ def _read_into(fd: int, buf: memoryview) -> bool:
     return filled == len(buf) and not os.read(fd, 1)
 
 
-def split_scan(fn: Callable[[float], object], points: Sequence[float], dim: int, dtype: type) -> np.ndarray:
+def split_scan(fn: Callable[[float], object], points: Sequence[float], dtype: type) -> np.ndarray:
     """``np.array([fn(s) for s in points], dtype)``, its second half computed in a forked child where that pays.
 
-    ``fn`` must return the same shape at every point; ``dim`` is the
-    dimension of the matrices it decomposes.
+    ``points`` must not be empty, and ``fn`` must return the same shape at
+    every point.
     """
     points = list(points)
+    start = time.perf_counter()
+    head = [fn(points[0])]
     half = (len(points) + 1) // 2
-    child = _fork(fn, points[half:], dtype) if _can_split(dim) else None
+    pays = (len(points) - half) * (time.perf_counter() - start) > SPLIT_ROUND_TRIP_S
+    child = _fork(fn, points[half:], dtype) if pays and _can_split() else None
     if child is None:
-        return np.array([fn(s) for s in points], dtype=dtype)
+        return np.array(head + [fn(s) for s in points[1:]], dtype=dtype)
     pid, read_end = child
     try:
-        first = np.array([fn(s) for s in points[:half]], dtype=dtype)
+        first = np.array(head + [fn(s) for s in points[1:half]], dtype=dtype)
         out = np.empty((len(points),) + first.shape[1:], dtype=dtype)
         out[:half] = first
         received = _read_into(read_end, memoryview(out[half:]).cast("B"))

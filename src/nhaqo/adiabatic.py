@@ -5,10 +5,10 @@ caller picks a safety factor.  Schedule derivatives use centered differences
 (one-sided at the interval ends) since schedules are opaque callables.
 
 The measured matrix element's grid goes through
-:func:`nhaqo._scan.split_scan`: at dimension >= 32, with two or more CPUs
-in the affinity mask and no other thread (BLAS pinned to one thread), one
-forked child computes half of the points.  Results are bit-identical to a
-serial scan.
+:func:`nhaqo._scan.split_scan`: where the child's half of the points would
+take longer than a fork round trip, with two or more CPUs in the affinity
+mask and no other thread (BLAS pinned to one thread), one forked child
+computes that half.  Results are bit-identical to a serial scan.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def measured_matrix_element(spec: AnnealSpec, grid_points: int = 1001) -> float:
         return float(abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0])))
 
     grid = [float(s) for s in uniform_grid(grid_points)]
-    return float(max([0.0, *split_scan(element, grid, spec.h0.shape[0], float)]))
+    return float(max([0.0, *split_scan(element, grid, float)]))
 
 
 def min_time_nonhermitian(

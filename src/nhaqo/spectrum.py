@@ -7,10 +7,11 @@ two lowest eigenvalues.  Gap traces need eigenvalues only; eigenvectors are
 computed solely where an exceptional-point candidate is confirmed.
 
 The uniform grid of a gap trace, and the exceptional-point scan when no
-trace is given, go through :func:`nhaqo._scan.split_scan`: at dimension
->= 32, with two or more CPUs in the affinity mask and no other thread (BLAS
-pinned to one thread), one forked child computes half of the points.
-Results are bit-identical to a serial scan.
+trace is given, go through :func:`nhaqo._scan.split_scan`: where the
+child's half of the points would take longer than a fork round trip, with
+two or more CPUs in the affinity mask and no other thread (BLAS pinned to
+one thread), one forked child computes that half.  Results are
+bit-identical to a serial scan.
 
 The crossover is polished by golden section.  Exceptional-point candidates
 are polished on the discriminant (E_1 - E_0)^2 instead: it is analytic
@@ -107,7 +108,7 @@ def trace_gap(
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = [float(s) for s in uniform_grid(grid_points)]
-    spectra = split_scan(lambda s: instantaneous_spectrum(spec, s).eigenvalues, grid, spec.h0.shape[0], complex)
+    spectra = split_scan(lambda s: instantaneous_spectrum(spec, s).eigenvalues, grid, complex)
     snaps = [_snapshot(s, vals) for s, vals in zip(grid, spectra)]
     if refine:
         bound = _lipschitz_bound(spec)
@@ -228,7 +229,7 @@ def detect_exceptional_point(
         raise ValueError("grid_points must be >= 3")
     if trace is None:
         ss = [float(s) for s in uniform_grid(grid_points)]
-        diffs = list(split_scan(lambda s: _lowest_pair(spec, s)[1], ss, spec.h0.shape[0], complex))
+        diffs = list(split_scan(lambda s: _lowest_pair(spec, s)[1], ss, complex))
     else:
         ss = [sn.s for sn in trace.snapshots]
         diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in trace.snapshots]

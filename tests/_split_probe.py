@@ -25,6 +25,7 @@ from nhaqo.spectrum import detect_exceptional_point, trace_gap
 
 SPEC6 = ising_anneal_spec(6, seed=1, delta0=0.5)
 SPEC5 = ising_anneal_spec(5, seed=1, delta0=0.5)
+SPEC2 = ising_anneal_spec(2, seed=1, delta0=0.5)
 FORKS = []
 _fork = os.fork
 
@@ -110,6 +111,8 @@ def element_with_child_leaving(leave):
 def scenarios():
     return {
         "scans": outcome(scans),
+        # 5 dim-4 points for the child: far less work than a fork round trip
+        "cheap_scan": outcome(lambda: measured_matrix_element(SPEC2, 11).hex()),
         # 0.75 lies in the child's half of the 201-point grid, 0.25 in this process's
         "child_fails": outcome(lambda: trace_failing_at(0.75)),
         "parent_fails": outcome(lambda: trace_failing_at(0.25)),

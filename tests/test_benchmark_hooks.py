@@ -58,13 +58,12 @@ def test_evolve_calls_schedule_f0_once_per_stage():
     assert calls >= 12 * res.steps_taken
 
 
-def counting(monkeypatch, call_log, holder, name):
-    """Replace ``holder.name`` by a wrapper that counts its calls, forked children's too; returns the log."""
+def counting(monkeypatch, holder, name, calls):
+    """Replace ``holder.name`` by a wrapper that appends to ``calls`` once per call; returns ``calls``."""
     fn = getattr(holder, name)
-    calls = call_log()
 
     def counted(*args, **kwargs):
-        calls.append()
+        calls.append(0.0)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(holder, name, counted)
@@ -73,16 +72,17 @@ def counting(monkeypatch, call_log, holder, name):
 
 def test_measured_matrix_element_makes_one_eig_per_point_and_no_inverse(monkeypatch, call_log):
     spec = ising_anneal_spec(5, seed=1, delta0=0.5)
-    eig_calls = counting(monkeypatch, call_log, np.linalg, "eig")
-    inv_calls = counting(monkeypatch, call_log, np.linalg, "inv")
+    # a CallLog counts the calls of a forked scan child too
+    eig_calls = counting(monkeypatch, np.linalg, "eig", call_log())
+    inv_calls = counting(monkeypatch, np.linalg, "inv", call_log())
     measured_matrix_element(spec, grid_points=51)
     assert len(eig_calls) == 51
     assert inv_calls == []
 
 
-def test_fig1_scans_each_curve_once(monkeypatch, call_log, tmp_path):
+def test_fig1_scans_each_curve_once(monkeypatch, tmp_path):
     # the grid scan is 201 gap evaluations; polishing its minimum adds a few dozen
-    calls = counting(monkeypatch, call_log, cli, "two_level_gap")
+    calls = counting(monkeypatch, cli, "two_level_gap", [])
     argv = ["fig1", "--set", "delta0_list=0.5", "--set", "grid_points=201", "--out", str(tmp_path / "f.csv")]
     assert cli.main(argv) == 0
     assert 201 < len(calls) < 402

@@ -40,7 +40,13 @@ def test_split_scans_are_bit_identical_to_serial_scans(probe):
 
 def test_single_cpu_affinity_never_forks(probe):
     # so that `taskset -c 0` gives a serial run whose traced counts cover every call
-    assert [case["forks"] for case in probe["serial"].values()] == [0, 0, 0, 0, 0]
+    assert [case["forks"] for case in probe["serial"].values()] == [0, 0, 0, 0, 0, 0]
+
+
+def test_scan_cheaper_than_a_fork_round_trip_runs_serially(probe):
+    split, serial = probe["split"]["cheap_scan"], probe["serial"]["cheap_scan"]
+    assert split["forks"] == 0
+    assert split["result"] == serial["result"]
 
 
 def test_eigensolver_failure_in_the_childs_half_raises_the_serial_message(probe):
@@ -69,6 +75,7 @@ def test_child_half_is_recomputed_serially_when_the_child_dies_or_sends_short_da
 def test_no_child_is_left_after_success_or_failure(probe):
     assert {name: case["no_child_left"] for name, case in probe["split"].items()} == {
         "scans": True,
+        "cheap_scan": True,
         "child_fails": True,
         "parent_fails": True,
         "child_dies": True,

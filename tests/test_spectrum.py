@@ -216,7 +216,9 @@ def test_trace_gap_computes_no_eigenvectors(monkeypatch):
 def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
     # every H(s) outside polishing (golden section for the crossover, the
     # discriminant polish for EP candidates) belongs to one trace sample:
-    # the uniform grid once plus the refined points, with no second scan
+    # the uniform grid once plus the refined points, with no second scan.
+    # At n=5 the grid's second half outlasts a fork round trip, so with BLAS
+    # pinned to one thread a forked child builds those H(s): CallLogs count them
     polishing = [False]
     scanned, polished = call_log(), call_log()
     build = nhaqo.spectrum.total_hamiltonian
@@ -240,7 +242,7 @@ def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
     monkeypatch.setattr(nhaqo.spectrum, "_polish_discriminant", flagged(nhaqo.spectrum._polish_discriminant))
     cfg = build_config(
         "gap-trace",
-        overrides=["model=ising", "n_qubits=4", "seed=130", "delta0=0.5", "grid_points=101"],
+        overrides=["model=ising", "n_qubits=5", "seed=130", "delta0=0.5", "grid_points=101"],
         out=str(tmp_path / "trace.csv"),
     )
     with open(run_gap_trace(cfg), encoding="utf-8") as fh:
