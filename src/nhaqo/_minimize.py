@@ -1,4 +1,4 @@
-"""Scalar minimization helpers: golden-section and Brent refinement over grid scans."""
+"""Scalar minimization over grid scans: each grid-local minimum polished by Brent's method."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+#: absolute part of the polishing tolerance
+XTOL = 1e-14
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
@@ -17,60 +19,19 @@ def uniform_grid(n: int) -> np.ndarray:
     return np.arange(n) / (n - 1)
 
 
-def golden_section(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 1e-10,
-    max_iter: int = 300,
-) -> tuple[float, float]:
-    """Minimum of a unimodal function on [a, b]; returns (x, f(x)).
-
-    Tracks the best point ever evaluated, so cusp-shaped minima (such as a
-    gap closing like sqrt|s - s0|) are located reliably as well.
-    """
-    fa, fb = f(a), f(b)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    pts = [(fa, a), (fb, b), (fc, c), (fd, d)]
-    best_f, best_x = min(pts, key=lambda t: t[0])
-    it = 0
-    while (b - a) > xtol and it < max_iter:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_f, best_x = fc, c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_f, best_x = fd, d
-        it += 1
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    if fm < best_f:
-        best_f, best_x = fm, mid
-    return float(best_x), float(best_f)
-
-
 def brent(
     f: Callable[[float], float],
     a: float,
     b: float,
     x: float,
     fx: float,
-    xtol: float,
 ) -> tuple[float, float]:
     """Minimum of f on [a, b] by Brent's method, from a point x in [a, b] with known f(x).
 
     Parabolic interpolation through the three best points, with a golden-section
     step where the parabola leaves the bracket or fails to halve the step before
     last (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
-    Stops when the bracket is within ``sqrt(eps) * |x| + xtol / 3`` of x, or
+    Stops when the bracket is within ``sqrt(eps) * |x| + XTOL / 3`` of x, or
     after 100 evaluations; x is always the best point evaluated, returned as
     (x, f(x)).
     """
@@ -79,7 +40,7 @@ def brent(
     d = e = 0.0
     for _ in range(100):
         m = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol = _SQRT_EPS * abs(x) + XTOL / 3.0
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             break
         p = q = 0.0
@@ -124,41 +85,19 @@ def local_minima_indices(values: Sequence[float]) -> list[int]:
     return out
 
 
-def refine_minimum(
-    f: Callable[[float], float],
-    xs: Sequence[float],
-    values: Sequence[float],
-    i: int,
-    xtol: float = 1e-10,
-) -> tuple[float, float]:
-    """Polish grid minimum ``i`` by golden-section search over its bracket."""
-    n = len(xs)
-    lo = xs[i - 1] if i > 0 else xs[i]
-    hi = xs[i + 1] if i < n - 1 else xs[i]
-    if lo == hi:
-        return float(xs[i]), float(values[i])
-    x, v = golden_section(f, float(lo), float(hi), xtol=xtol)
-    if values[i] < v:
-        return float(xs[i]), float(values[i])
-    return x, v
-
-
 def polished_minima(
     f: Callable[[float], float],
     xs: Sequence[float],
     values: Sequence[float],
-    xtol: float,
 ) -> list[tuple[float, float]]:
-    """Every grid-local minimum of ``values`` polished, ascending by value (ties keep grid order)."""
-    cands = [refine_minimum(f, xs, values, i, xtol=xtol) for i in local_minima_indices(values)]
+    """Every grid-local minimum of ``values`` polished, ascending by value (ties keep grid order).
+
+    Minimum ``i`` is polished by :func:`brent` over [x_{i-1}, x_{i+1}] from the grid point.
+    """
+    last = len(xs) - 1
+    cands = [
+        brent(f, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)]), float(xs[i]), float(values[i]))
+        for i in local_minima_indices(values)
+    ]
     cands.sort(key=lambda c: c[1])
     return cands
-
-
-def minimize_on_grid(
-    f: Callable[[float], float],
-    xs: Sequence[float],
-    xtol: float = 1e-10,
-) -> tuple[float, float]:
-    """Global scan over ``xs`` followed by golden-section refinement."""
-    return polished_minima(f, xs, [f(float(x)) for x in xs], xtol)[0]

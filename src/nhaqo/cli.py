@@ -344,7 +344,7 @@ def run_fig1(cfg: ExperimentConfig) -> str:
             return two_level_gap(params, _sched, s) / cfg.j_star
 
         curves.append([f(float(s)) for s in grid])
-        s_min, gap_min = polished_minima(f, grid, curves[-1], 1e-12)[0]
+        s_min, gap_min = polished_minima(f, grid, curves[-1])[0]
         footers.append(f"# minimum delta0={fmt(d0)} s={fmt(s_min)} gap_over_jstar={fmt(gap_min)}")
     rows = [
         [fmt(s)] + [fmt(curve[i]) for curve in curves]

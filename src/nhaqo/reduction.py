@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._minimize import minimize_on_grid, uniform_grid
+from ._minimize import polished_minima, uniform_grid
 from .errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
 from .linalg import ensure_operator, lowest_pair_eigensystem, maxnorm
 from .model import AnnealSpec, Schedule, total_hamiltonian
@@ -179,12 +179,13 @@ def two_level_gap(params: TwoLevelParams, schedule: Schedule, s: float) -> float
 def min_two_level_gap(
     params: TwoLevelParams, schedule: Schedule, grid_points: int = 1001
 ) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement of the reduced-model gap minimum."""
-    return minimize_on_grid(
-        lambda s: two_level_gap(params, schedule, s),
-        uniform_grid(grid_points),
-        xtol=1e-12,
-    )
+    """Grid scan plus Brent polish of the reduced-model gap minimum, as (s, gap)."""
+
+    def f(s: float) -> float:
+        return two_level_gap(params, schedule, s)
+
+    grid = uniform_grid(grid_points)
+    return polished_minima(f, grid, [f(float(s)) for s in grid])[0]
 
 
 def hermitian_crossover(

@@ -13,11 +13,11 @@ two or more CPUs in the affinity mask and no other thread (BLAS pinned to
 one thread), one forked child computes that half.  Results are
 bit-identical to a serial scan.
 
-The crossover is polished by golden section.  Exceptional-point candidates
-are polished on the discriminant (E_1 - E_0)^2 instead: it is analytic
-through an exceptional point, where the gap itself closes like a square
-root, so Brent's method and a few Gauss-Newton steps reach the closing
-in far fewer eigensolves than golden section on the gap.
+Gap minima are polished by Brent's method from the grid point: the
+crossover's on the gap, exceptional-point candidates' on the discriminant
+(E_1 - E_0)^2 plus a few Gauss-Newton steps.  The discriminant is analytic
+through an exceptional point, where the gap closes like a square root and
+Brent's method on the gap stops about sqrt(eps) * s short of the closing.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def trace_gap(
     return trace
 
 
-def find_crossover(trace: GapTrace, xtol: float = 1e-8) -> tuple[float, float]:
-    """Refined location and value of the minimum gap.
+def find_crossover(trace: GapTrace) -> tuple[float, float]:
+    """Refined location and value of the minimum gap: the lowest Brent-polished gap minimum.
 
     Emits :class:`MultipleMinimaWarning` (reporting both candidates) when a
     second local minimum lies within 1% of the global one.
@@ -143,7 +143,7 @@ def find_crossover(trace: GapTrace, xtol: float = 1e-8) -> tuple[float, float]:
     def f(s: float) -> float:
         return gap_at(trace.spec, s)
 
-    cands = polished_minima(f, xs, vals, xtol)
+    cands = polished_minima(f, xs, vals)
     s_c, g_m = cands[0]
     if len(cands) > 1 and abs(cands[1][1] - g_m) <= 0.01 * g_m:
         warnings.warn(
@@ -192,7 +192,7 @@ def _polish_discriminant(
         return abs(samples[s] ** 2) ** 2
 
     if lo < hi:
-        brent(sq, lo, hi, xs[i], abs(diffs[i] ** 2) ** 2, 1e-14)
+        brent(sq, lo, hi, xs[i], abs(diffs[i] ** 2) ** 2)
         for _ in range(3):
             (s1, d1), (s2, d2) = sorted(samples.items(), key=lambda t: abs(t[1]))[:2]
             q1 = d1**2

@@ -139,6 +139,38 @@ def test_fig1_coarse_grid_shares_values(tmp_path):
         assert vals_a[s] == vals_b[s]
 
 
+def test_fig1_minima_match_two_by_two_eigensolve_at_n60(tmp_path):
+    # at sin(alpha) = 2^-30 the delta0=0 gap is a cusp of width 2^-30 around s = 1/2
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    out = tmp_path / "fig1.csv"
+    code = main(["fig1", "--set", "n_qubits=60", "--set", "delta0_list=0,0.25",
+                 "--set", "grid_points=1001", "--out", str(out)])
+    assert code == 0
+    minima = {}
+    for ln in footers(read(str(out))):
+        if ln.startswith("# minimum "):
+            fields = dict(item.split("=") for item in ln[len("# minimum "):].split())
+            minima[float(fields["delta0"])] = (float(fields["s"]), float(fields["gap_over_jstar"]))
+    assert sorted(minima) == [0.0, 0.25]
+    sin_a = 2.0**-30
+    drive = np.array([[-np.sqrt(1.0 - sin_a**2), sin_a], [sin_a, np.sqrt(1.0 - sin_a**2)]])
+    grid = np.arange(1001) / 1000
+    for d0, (s_min, gap_min) in minima.items():
+
+        def gap(s):
+            vals = np.linalg.eigvals(np.diag([s, -s]) + (1.0 - s) * (1.0 - 1j * d0) * drive)
+            vals = vals[np.lexsort((vals.imag, vals.real))]
+            return float(abs(vals[1] - vals[0]))
+
+        gaps = [gap(s) for s in grid]
+        i = int(np.argmin(gaps))
+        ref = minimize_scalar(gap, bounds=(grid[i - 1], grid[i + 1]), method="bounded", options={"xatol": 1e-13})
+        g_ref = min(gaps[i], ref.fun)
+        assert abs(gap_min - g_ref) <= 1e-9 * g_ref
+    assert minima[0.0][0] == 0.5
+    assert minima[0.0][1] == pytest.approx(2.0**-30, rel=1e-9)
+
+
 def test_gap_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from nhaqo._minimize import golden_section
 from nhaqo.errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
 from nhaqo.model import (
     PAULI_X,
@@ -252,7 +252,7 @@ def test_crossover_consistency_against_minimizer():
         def gap_of(sigma):
             return gap_two_level(params, b + jdot * sigma, a + gdot * sigma, 0.0)
 
-        sig, _ = golden_section(gap_of, -4.0, 4.0, xtol=1e-13, max_iter=500)
+        sig = minimize_scalar(gap_of, bounds=(-4.0, 4.0), method="bounded", options={"xatol": 1e-13}).x
         j_c = b + jdot * sig
         g_c, gap_min = hermitian_crossover(params, gdot, jdot, j_c)
         assert g_c == pytest.approx(a + gdot * sig, rel=1e-6, abs=1e-8)
@@ -271,7 +271,7 @@ def test_nonhermitian_min_gap_matches_numeric_minimization():
         def lower_envelope(s):
             return 2.0 * np.hypot((1.0 - s) - s, d0 * (1.0 - s))
 
-        _, val = golden_section(lower_envelope, 0.0, 1.0, xtol=1e-13, max_iter=500)
+        val = minimize_scalar(lower_envelope, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-13}).fun
         assert nonhermitian_min_gap(1.0, d0) == pytest.approx(val, rel=1e-10)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nhaqo._minimize
 import nhaqo.spectrum
-from nhaqo._minimize import brent, local_minima_indices, refine_minimum, uniform_grid
+from nhaqo._minimize import brent, local_minima_indices, uniform_grid
 from nhaqo.cli import build_config, run_gap_trace
 from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
 from nhaqo.linalg import eig_nonhermitian, maxnorm
@@ -214,7 +214,7 @@ def test_trace_gap_computes_no_eigenvectors(monkeypatch):
 
 
 def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
-    # every H(s) outside polishing (golden section for the crossover, the
+    # every H(s) outside polishing (Brent's method for the crossover, the
     # discriminant polish for EP candidates) belongs to one trace sample:
     # the uniform grid once plus the refined points, with no second scan.
     # At n=5 the grid's second half outlasts a fork round trip, so with BLAS
@@ -238,7 +238,7 @@ def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
         return run
 
     monkeypatch.setattr(nhaqo.spectrum, "total_hamiltonian", counted_build)
-    monkeypatch.setattr(nhaqo._minimize, "golden_section", flagged(nhaqo._minimize.golden_section))
+    monkeypatch.setattr(nhaqo._minimize, "brent", flagged(nhaqo._minimize.brent))
     monkeypatch.setattr(nhaqo.spectrum, "_polish_discriminant", flagged(nhaqo.spectrum._polish_discriminant))
     cfg = build_config(
         "gap-trace",
@@ -317,13 +317,13 @@ def test_brent_finds_smooth_kinked_and_boundary_minima():
 
         return g
 
-    x, fx = brent(counted(lambda x: (x - 0.3) ** 4 + (x - 0.3) ** 2 + 1.0), 0.2, 0.4, 0.31, 1.0001 + 1e-8, 1e-14)
+    x, fx = brent(counted(lambda x: (x - 0.3) ** 4 + (x - 0.3) ** 2 + 1.0), 0.2, 0.4, 0.31, 1.0001 + 1e-8)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert fx == pytest.approx(1.0, abs=1e-14)
     assert len(calls) < 20
     # a kink, and a minimum on the bracket's end: the best point is returned
-    assert brent(lambda x: abs(x - 0.7), 0.6, 0.8, 0.6, 0.1, 1e-14)[0] == pytest.approx(0.7, abs=1e-7)
-    x, fx = brent(lambda x: x, 0.0, 0.01, 0.005, 0.005, 1e-14)
+    assert brent(lambda x: abs(x - 0.7), 0.6, 0.8, 0.6, 0.1)[0] == pytest.approx(0.7, abs=1e-7)
+    x, fx = brent(lambda x: x, 0.0, 0.01, 0.005, 0.005)
     assert 0.0 <= x < 1e-7 and fx == x
     assert all(0.2 <= c <= 0.4 for c in calls)
 
@@ -338,6 +338,47 @@ def test_ep_search_polishes_each_minimum_in_at_most_25_eigensolves(monkeypatch, 
     detect_exceptional_point(spec, 201)
     # golden section spent 63 eigensolves on every minimum
     assert len(calls) <= 201 + 25 * len(minima)
+
+
+def test_crossover_polish_takes_at_most_32_gap_evaluations(monkeypatch):
+    spec = ising_anneal_spec(6, seed=1, delta0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        trace = trace_gap(spec, 201)
+    calls = []
+    monkeypatch.setattr(nhaqo.spectrum, "gap_at", lambda spec, s, _gap_at=gap_at: calls.append(s) or _gap_at(spec, s))
+    assert find_crossover(trace) == (trace.s_c, trace.g_m)
+    # golden section to xtol 1e-8 spent 63 on this trace's two minima
+    assert len(calls) <= 32
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_reference(f, xs, values, i: int) -> tuple[float, float]:
+    """Grid minimum ``i`` of f polished by golden section to 1e-14 over its bracket, as (s, f(s)).
+
+    Golden section converges like bisection, so it reaches a sqrt|s - s0|
+    cusp or a jump of f to 1e-14, where Brent's method on f stops about
+    sqrt(eps) * |s| short of it.  Returns the best point evaluated, the grid
+    point included.
+    """
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    best = min((values[i], xs[i]), (fc, c), (fd, d))
+    while b - a > 1e-14:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+            best = min(best, (fc, c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+            best = min(best, (fd, d))
+    return best[1], best[0]
 
 
 def _discriminant_jumps(spec, s: float, scale: float) -> bool:
@@ -364,7 +405,7 @@ def test_discriminant_polish_agrees_with_golden_section(spec, grid):
     gap_tol = EP_GAP_FACTOR * scale
     for i in local_minima_indices(gaps):
         s_new, g_new = _polish_discriminant(spec, ss, diffs, i)
-        s_ref, g_ref = refine_minimum(lambda s: gap_at(spec, s), ss, gaps, i, xtol=1e-14)
+        s_ref, g_ref = _golden_reference(lambda s: gap_at(spec, s), ss, gaps, i)
         assert (g_new < gap_tol) == (g_ref < gap_tol)
         if _discriminant_jumps(spec, s_ref, scale):
             # the gap jumps at s_ref: Brent brackets the jump to its tolerance
