@@ -13,7 +13,7 @@ from .adiabatic import (
     min_time_nonhermitian,
     tau_window,
 )
-from .evolve import EvolutionResult, evolve, initial_ground_state, success_probability
+from .evolve import EvolutionResult, decaying_driver_shift, evolve, initial_ground_state, success_probability
 from .linalg import (
     EigenSystem,
     biorthonormal_eigensystem,
@@ -70,6 +70,7 @@ __all__ = [
     "build_crossover_basis",
     "build_ising",
     "build_transverse",
+    "decaying_driver_shift",
     "decompose_schedule_params",
     "detect_exceptional_point",
     "eig_nonhermitian",

@@ -1,19 +1,23 @@
-"""Uniform s-grid scans shared between this process and one forked child.
+"""Independent scans shared between this process and one forked child.
 
 numpy's eigensolvers hold the GIL, so threads do not run them in parallel,
 but two processes do.  :func:`split_scan` maps a per-point function over a
-list of s values; where that is safe and pays, this process computes the
-first half and one ``os.fork``ed child the second, which it sends back over
-a pipe as raw bytes.  Both halves run the same code on the same inputs, so
-the result is bit-identical to a serial scan.
+list of points (an s-grid, or the taus of an evolve sweep); where that is
+safe and pays, this process computes a prefix of the points and one
+``os.fork``ed child the rest, which it sends back over a pipe as raw bytes.
+The split point balances the two shares by each point's relative cost
+(equal by default, so a uniform scan splits in half, the first half here).
+Both processes run the same code on the same inputs, so the result is
+bit-identical to a serial scan.
 
 This process always computes the first point itself and times it.  The
-scan splits only when all of these hold: the child's share of the points
-times that time exceeds ``SPLIT_ROUND_TRIP_S``, the process may run on at
-least two CPUs (``taskset -c 0`` forces a serial scan), and it has no thread
+scan splits only when all of these hold: this process keeps more than that
+first point, the child's share of the cost times the first point's time per
+unit cost exceeds ``SPLIT_ROUND_TRIP_S``, the process may run on at least
+two CPUs (``taskset -c 0`` forces a serial scan), and it has no thread
 besides the calling one (forking a threaded process is unsafe; OpenBLAS
 keeps worker threads unless ``OPENBLAS_NUM_THREADS=1``).  If the child
-fails, dies or returns short data, its half is recomputed here, raising
+fails, dies or returns short data, its share is recomputed here, raising
 what a serial scan would.  The child's memory is not part of this process's
 resident set.
 """
@@ -83,26 +87,34 @@ def _read_into(fd: int, buf: memoryview) -> bool:
     return filled == len(buf) and not os.read(fd, 1)
 
 
-def split_scan(fn: Callable[[float], object], points: Sequence[float], dtype: type) -> np.ndarray:
-    """``np.array([fn(s) for s in points], dtype)``, its second half computed in a forked child where that pays.
+def split_scan(
+    fn: Callable[[float], object], points: Sequence[float], dtype: type, cost: Sequence[float] | None = None
+) -> np.ndarray:
+    """``np.array([fn(x) for x in points], dtype)``, a suffix of it computed in a forked child where that pays.
 
     ``points`` must not be empty, and ``fn`` must return the same shape at
-    every point.
+    every point.  ``cost`` gives each point's positive relative cost
+    (default: equal); the child takes the suffix that minimises the larger
+    of the two shares' costs, and this process keeps more on ties.
     """
     points = list(points)
+    cumulative = np.cumsum(np.ones(len(points)) if cost is None else np.asarray(cost, dtype=float))
+    # the larger share's cost if this process keeps points[:k], k = 1 .. len(points)
+    larger = np.maximum(cumulative, cumulative[-1] - cumulative)
+    keep = len(points) - int(np.argmin(larger[::-1]))
     start = time.perf_counter()
     head = [fn(points[0])]
-    half = (len(points) + 1) // 2
-    pays = (len(points) - half) * (time.perf_counter() - start) > SPLIT_ROUND_TRIP_S
-    child = _fork(fn, points[half:], dtype) if pays and _can_split() else None
+    child_work = (cumulative[-1] - cumulative[keep - 1]) * (time.perf_counter() - start) / cumulative[0]
+    pays = keep > 1 and child_work > SPLIT_ROUND_TRIP_S
+    child = _fork(fn, points[keep:], dtype) if pays and _can_split() else None
     if child is None:
-        return np.array(head + [fn(s) for s in points[1:]], dtype=dtype)
+        return np.array(head + [fn(x) for x in points[1:]], dtype=dtype)
     pid, read_end = child
     try:
-        first = np.array(head + [fn(s) for s in points[1:half]], dtype=dtype)
+        first = np.array(head + [fn(x) for x in points[1:keep]], dtype=dtype)
         out = np.empty((len(points),) + first.shape[1:], dtype=dtype)
-        out[:half] = first
-        received = _read_into(read_end, memoryview(out[half:]).cast("B"))
+        out[:keep] = first
+        received = _read_into(read_end, memoryview(out[keep:]).cast("B"))
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
@@ -110,5 +122,5 @@ def split_scan(fn: Callable[[float], object], points: Sequence[float], dtype: ty
         os.close(read_end)
         _, status = os.waitpid(pid, 0)
     if not received or os.waitstatus_to_exitcode(status) != 0:
-        out[half:] = np.array([fn(s) for s in points[half:]], dtype=dtype)
+        out[keep:] = np.array([fn(x) for x in points[keep:]], dtype=dtype)
     return out

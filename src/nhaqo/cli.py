@@ -45,8 +45,9 @@ import numpy as np
 from . import __version__
 from ._minimize import polished_minima, uniform_grid
 from .adiabatic import min_time_linear_ramp
-from .errors import ConfigError, MultipleMinimaWarning, NhaqoError
-from .evolve import evolve, initial_ground_state
+from ._scan import split_scan
+from .errors import ConfigError, MultipleMinimaWarning, NhaqoError, NonFiniteState, StepUnderflow
+from .evolve import decaying_driver_shift, evolve, initial_ground_state
 from .linalg import DEFECT_TOLERANCE
 from .model import AnnealSpec, ising_anneal_spec, linear_schedule, two_level_spec
 from .reduction import TwoLevelParams, nonhermitian_min_gap, two_level_gap
@@ -268,6 +269,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("fig1 needs delta0_list")
     if cfg.experiment == "evolve" and not cfg.tau_list and cfg.tau is None:
         raise ConfigError("evolve needs tau or tau_list")
+    if cfg.experiment == "evolve" and min(cfg.tau_list or (cfg.tau,)) <= 0:
+        raise ConfigError("evolve needs positive taus")
     if cfg.experiment == "tau-sweep" and (not cfg.delta0_list or not cfg.n_list):
         raise ConfigError("tau-sweep needs delta0_list and n_list")
     if cfg.experiment == "ep-scan" and not cfg.delta0_list and cfg.delta0 is None:
@@ -374,32 +377,51 @@ def run_gap_trace(cfg: ExperimentConfig) -> str:
     return _write_csv(cfg, columns, rows, footers)
 
 
+#: the integration failures an evolve row reports; a row's status code is 0 for "ok", else 1 plus
+#: the failure's index here
+_EVOLVE_ERRORS = (StepUnderflow, NonFiniteState)
+
+
 def run_evolve(cfg: ExperimentConfig) -> str:
     """Success probability, final norm and step count per tau.
 
-    Integration failures are reported per row and do not abort the sweep.
+    The initial state and the decaying driver's shift are computed once for
+    the sweep.  The taus run in ascending order through ``split_scan`` with
+    a cost of tau each, so one forked child may take the longest ones; the
+    rows keep the order of the config.  Integration failures
+    (``_EVOLVE_ERRORS``) are reported per row and do not abort the sweep.
     """
     taus = cfg.tau_list if cfg.tau_list else (cfg.tau,)
     assert taus and taus[0] is not None
     spec = _build_spec(cfg)
     initial = initial_ground_state(spec)
-    columns = ["tau", "success_probability", "final_norm", "steps_taken", "status"]
-    rows = []
-    for tau in taus:
-        run_spec = dataclasses.replace(spec, tau=float(tau))
+    shift = decaying_driver_shift(spec.h1) if cfg.decaying_driver else 0.0
+
+    def run(tau: float) -> tuple[float, float, int, int]:
+        """(success probability, final norm, steps, status code) at one tau."""
         try:
             res = evolve(
-                run_spec,
+                dataclasses.replace(spec, tau=tau),
                 initial,
                 tol=cfg.tol_evolve,
                 samples=2,  # the CSV reads only the final norm
-                decaying_driver=cfg.decaying_driver,
+                driver_shift=shift,
             )
-            rows.append(
-                [fmt(tau), fmt(res.success_probability), fmt(res.norm_history[-1][1]), fmt(res.steps_taken), "ok"]
-            )
-        except NhaqoError as exc:
-            rows.append([fmt(tau), "nan", "nan", "0", f"error:{type(exc).__name__}"])
+        except _EVOLVE_ERRORS as exc:
+            return np.nan, np.nan, 0, 1 + _EVOLVE_ERRORS.index(type(exc))
+        return res.success_probability, res.norm_history[-1][1], res.steps_taken, 0
+
+    order = np.argsort(taus, kind="stable")
+    ascending = [float(taus[i]) for i in order]
+    results = np.empty((len(taus), 4))
+    results[order] = split_scan(run, ascending, np.float64, cost=ascending)
+    columns = ["tau", "success_probability", "final_norm", "steps_taken", "status"]
+    rows = []
+    for tau, (p, norm, steps, code) in zip(taus, results):
+        if code:
+            rows.append([fmt(tau), "nan", "nan", "0", f"error:{_EVOLVE_ERRORS[int(code) - 1].__name__}"])
+        else:
+            rows.append([fmt(tau), fmt(p), fmt(norm), fmt(int(steps)), "ok"])
     return _write_csv(cfg, columns, rows, [])
 
 

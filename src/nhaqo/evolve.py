@@ -9,7 +9,11 @@ measured relative to the state's norm, so the accuracy of the unit state does
 not depend on how far the norm has decayed.  The adjoint mode evolves the
 left state under the conjugate-transposed generator so that the bi-orthogonal
 product <psi~|psi> is conserved.  The state is never renormalized during the
-run: norm decay is the physics of the decay term.
+run: norm decay is the physics of the decay term.  The decaying driver's
+shift depends on the driver alone: :func:`decaying_driver_shift` computes it
+once, and a sweep passes it to every :func:`evolve` call.  Where the schedule
+starts on the driver alone, the initial ground state comes from one Hermitian
+eigensolve of the driver.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import (
     NonFiniteState,
     StepUnderflow,
 )
-from .linalg import ensure_operator, is_hermitian, lowest_pair_eigensystem
+from .linalg import _fix_column_phases, ensure_operator, is_hermitian, lowest_pair_eigensystem
 from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_TOL = 1e-10
@@ -136,18 +140,35 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
     """Unit right eigenvector with the smallest real eigenvalue at s = 0.
 
     The full Hamiltonian at s = 0, including any problem-term admixture,
-    defines the ground state.
+    defines the ground state.  Where f0(0) = 0 and f1(0) > 0, as in every
+    schedule nhaqo builds, H(0) = (f1 - i f2) h1 is a complex multiple of
+    the Hermitian driver with the driver's eigenvectors and real parts f1
+    times its eigenvalues: the vector comes from ``np.linalg.eigh(h1)``.
+    Any other schedule takes it from the lowest pair of H(0).  Either way
+    its largest entry is made real and positive.
 
     Raises
     ------
     AmbiguousGround
         If the two lowest real parts coincide within 1e-10.
     """
-    es = lowest_pair_eigensystem(total_hamiltonian(spec, 0.0))
-    if es.dim >= 2 and es.eigenvalues[1].real - es.eigenvalues[0].real <= 1e-10:
+    f1 = spec.schedule.f1(0.0)
+    if spec.schedule.f0(0.0) == 0.0 and f1 > 0.0:
+        vals, vecs = np.linalg.eigh(spec.h1)
+        lowest = vals[:2] * f1
+        v = _fix_column_phases(vecs[:, :1])[:, 0]
+    else:
+        es = lowest_pair_eigensystem(total_hamiltonian(spec, 0.0))
+        lowest = es.eigenvalues.real
+        v = es.right_vectors[:, 0]
+    if lowest.size >= 2 and lowest[1] - lowest[0] <= 1e-10:
         raise AmbiguousGround("two lowest real parts coincide at s = 0")
-    v = es.right_vectors[:, 0]
     return v / np.linalg.norm(v)
+
+
+def decaying_driver_shift(h1) -> float:
+    """max(0, -lambda_min(h1)): the shift that makes the decaying driver h1 + shift positive semi-definite."""
+    return max(0.0, -float(np.linalg.eigvalsh(h1)[0]))
 
 
 def _xor_terms(spec: AnnealSpec, adjoint: bool, shift: float) -> tuple[np.ndarray, np.ndarray]:
@@ -183,14 +204,15 @@ def evolve(
     *,
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_SAMPLES,
-    decaying_driver: bool = False,
+    driver_shift: float = 0.0,
 ) -> EvolutionResult:
     """Integrate from t = 0 to t = tau with adaptive step control.
 
     ``adjoint`` evolves the left state (returned as a column vector) under
-    the conjugate-transposed generator.  ``decaying_driver`` shifts the
-    driver inside the decay term by |min eigenvalue| times the identity, so
-    the norm is non-increasing; eigenvalue differences are unaffected.
+    the conjugate-transposed generator.  ``driver_shift`` adds that multiple
+    of the identity to the driver inside the decay term; with
+    ``decaying_driver_shift(spec.h1)`` the norm is non-increasing, and
+    eigenvalue differences are unaffected.
 
     Raises
     ------
@@ -209,12 +231,8 @@ def evolve(
     if samples < 2:
         raise ValueError("samples must be >= 2")
 
-    shift = 0.0
-    if decaying_driver:
-        lowest = float(np.linalg.eigvalsh(spec.h1)[0])
-        shift = -lowest if lowest < 0 else 0.0
     f0, f1, f2 = spec.schedule.f0, spec.schedule.f1, spec.schedule.f2
-    idx, terms = _xor_terms(spec, adjoint, shift)
+    idx, terms = _xor_terms(spec, adjoint, driver_shift)
     terms = terms.view(np.float64)  # real weights times complex terms: one real matmul
     weights_flat = np.empty((_STAGES, terms.shape[1]))
     weights = weights_flat.view(complex).reshape((_STAGES,) + idx.shape)

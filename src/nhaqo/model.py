@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateCoupling
-from .linalg import ensure_operator, is_hermitian, maxnorm
+from .linalg import ensure_operator, hermitian_defect, is_hermitian, maxnorm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -69,8 +69,8 @@ def make_anneal_spec(h0, h1, schedule: Schedule, tau: float, n_qubits: int) -> A
         raise ValueError(f"dim {a0.shape[0]} != 2^{n_qubits}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    comm = a0 @ a1 - a1 @ a0
-    if maxnorm(comm) <= 1e-9 * maxnorm(a0) * maxnorm(a1):
+    # for Hermitian terms a1 @ a0 = (a0 @ a1)^dagger: the commutator is the product's Hermitian defect
+    if hermitian_defect(a0 @ a1) <= 1e-9 * maxnorm(a0) * maxnorm(a1):
         raise ValueError("h0 and h1 commute; the anneal is trivial")
     return AnnealSpec(a0, a1, schedule, float(tau), int(n_qubits))
 

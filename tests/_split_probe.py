@@ -1,4 +1,4 @@
-"""Run the split scans with a forked child, then serially, and print what happened as JSON.
+"""Run the split scans and evolve sweeps with a forked child, then serially, and print what happened as JSON.
 
 Usage: ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/_split_probe.py`` on
 a machine where this process may use two or more CPUs, so that the scans
@@ -6,20 +6,25 @@ split; ``tests/test_scan.py`` starts it that way.  Each scenario runs once at
 the process's own affinity and once pinned to a single CPU, where no scan
 splits.  ``forks`` counts ``os.fork`` calls made by this process, and
 ``no_child_left`` says whether ``os.waitpid(-1, os.WNOHANG)`` then finds no
-child at all.
+child at all.  The evolve scenarios run ``nhaqo evolve`` on one n=4 decaying
+instance and return its CSV's text.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
+import tempfile
 import warnings
 
 import numpy as np
 
 import nhaqo.adiabatic
+from nhaqo import cli
 from nhaqo.adiabatic import measured_matrix_element
-from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
+from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning, StepUnderflow
 from nhaqo.model import ising_anneal_spec, total_hamiltonian
 from nhaqo.spectrum import detect_exceptional_point, trace_gap
 
@@ -108,6 +113,39 @@ def element_with_child_leaving(leave):
         nhaqo.adiabatic.total_hamiltonian = build
 
 
+def evolve_csv(tau_list, fail_at=None):
+    """The CSV text of an n=4 decaying evolve sweep, and the taus integrated in this process.
+
+    Where ``fail_at`` is given, the integration at that tau raises
+    ``StepUnderflow`` in whichever process runs it.
+    """
+    parent = os.getpid()
+    run = cli.evolve
+    here = []
+
+    def failing(spec, *args, **kwargs):
+        if os.getpid() == parent:
+            here.append(spec.tau)
+        if spec.tau == fail_at:
+            raise StepUnderflow(f"step underflow forced at tau={spec.tau:g}")
+        return run(spec, *args, **kwargs)
+
+    cli.evolve = failing
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "evolve.csv")
+            argv = ["evolve", "--set", "model=ising", "--set", "n_qubits=4", "--set", "seed=1",
+                    "--set", "delta0=0.5", "--set", "decaying_driver=true", "--set", f"tau_list={tau_list}",
+                    "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()):  # the CLI prints the CSV's path
+                assert cli.main(argv) == 0
+            with open(out, encoding="utf-8") as fh:
+                text = fh.read()
+    finally:
+        cli.evolve = run
+    return {"csv": text, "taus_here": here}
+
+
 def scenarios():
     return {
         "scans": outcome(scans),
@@ -119,6 +157,12 @@ def scenarios():
         "child_dies": outcome(lambda: element_with_child_leaving(lambda: os.kill(os.getpid(), signal.SIGKILL))),
         # exit status 0, but no data: short data
         "child_exits_early": outcome(lambda: element_with_child_leaving(lambda: os._exit(0))),
+        # costs 10 + 30 + 100 against 300: the child takes tau=300
+        "evolve_sweep": outcome(lambda: evolve_csv("10,30,100,300")),
+        "evolve_unsorted": outcome(lambda: evolve_csv("300,10,100,30")),
+        # the balanced split leaves this process only the tau it times first
+        "evolve_two_taus": outcome(lambda: evolve_csv("10,30")),
+        "evolve_child_underflow": outcome(lambda: evolve_csv("10,30,100,300", fail_at=300.0)),
     }
 
 

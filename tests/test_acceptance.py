@@ -16,7 +16,7 @@ from conftest import corpus_data
 from nhaqo.adiabatic import min_time_linear_ramp
 from nhaqo.cli import main
 from nhaqo.errors import MultipleMinimaWarning
-from nhaqo.evolve import evolve, initial_ground_state
+from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state
 from nhaqo.linalg import biorthonormal_eigensystem
 from nhaqo.model import (
     AnnealSpec,
@@ -252,6 +252,7 @@ def windowed_success(spec, tau, tol=1e-8, segments=40, decaying=True):
     """
     spec = dataclasses.replace(spec, tau=tau)
     state = initial_ground_state(spec)
+    shift = decaying_driver_shift(spec.h1) if decaying else 0.0
     f0, f1, f2 = spec.schedule.f0, spec.schedule.f1, spec.schedule.f2
     edges = np.linspace(0.0, 1.0, segments + 1)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -262,7 +263,7 @@ def windowed_success(spec, tau, tol=1e-8, segments=40, decaying=True):
         )
         piece = dataclasses.replace(spec, schedule=window, tau=tau * (b - a))
         state = evolve(
-            piece, state / np.linalg.norm(state), tol=tol, decaying_driver=decaying, samples=2
+            piece, state / np.linalg.norm(state), tol=tol, driver_shift=shift, samples=2
         ).final_state
     from nhaqo.evolve import success_probability
 

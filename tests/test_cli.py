@@ -415,6 +415,13 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("taus", ["tau_list=10,0", "tau=-1"])
+def test_evolve_rejects_a_non_positive_tau_as_a_config_error(tmp_path, capsys, taus):
+    argv = ["evolve", "--set", "model=ising", "--set", "n_qubits=2", "--set", "seed=1", "--set", taus]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert "positive taus" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code = main(
         [

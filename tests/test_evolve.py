@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhaqo.errors import AmbiguousGround, DegenerateTargetWarning, StepUnderflow
-from nhaqo.evolve import evolve, initial_ground_state, success_probability
-from nhaqo.linalg import biorthonormal_eigensystem
+from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state, success_probability
+from nhaqo.linalg import biorthonormal_eigensystem, lowest_pair_eigensystem
 from nhaqo.model import (
     AnnealSpec,
     PAULI_X,
@@ -133,7 +133,7 @@ def test_hermitian_norm_conservation():
 
 def test_norm_monotone_with_decaying_driver():
     spec = ising_anneal_spec(2, seed=3, delta0=0.8, tau=4.0)
-    res = evolve(spec, initial_ground_state(spec), decaying_driver=True)
+    res = evolve(spec, initial_ground_state(spec), driver_shift=decaying_driver_shift(spec.h1))
     norms = [nrm for _, nrm in res.norm_history]
     for a, b in zip(norms[:-1], norms[1:]):
         assert b <= a + 1e-10
@@ -152,8 +152,9 @@ def test_adjoint_pairing_is_conserved():
         left_row = es.left_vectors[0]
         chi0 = left_row.conj()
         scale = np.linalg.norm(chi0)
-        fwd = evolve(spec, psi0, samples=51, decaying_driver=decaying)
-        adj = evolve(spec, chi0 / scale, adjoint=True, samples=51, decaying_driver=decaying)
+        shift = decaying_driver_shift(spec.h1) if decaying else 0.0
+        fwd = evolve(spec, psi0, samples=51, driver_shift=shift)
+        adj = evolve(spec, chi0 / scale, adjoint=True, samples=51, driver_shift=shift)
         start = left_row @ psi0
         end = np.vdot(adj.final_state * scale, fwd.final_state)
         assert abs(end - start) < 1e-7
@@ -325,6 +326,53 @@ def test_initial_ground_state_with_problem_admixture():
     assert abs(np.vdot(ref_vecs[:, 0], v)) == pytest.approx(1.0, abs=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8, 16]), delta=st.floats(0.0, 2.0))
+@example(seed=1, dim=2, delta=0.0)
+@example(seed=2, dim=4, delta=2.0)
+@example(seed=3, dim=8, delta=0.5)
+@example(seed=4, dim=16, delta=1.3)
+def test_driver_ground_state_matches_the_lowest_pair_at_s0(seed, dim, delta):
+    # H(0) = (1 - i delta) h1 under the linear ramp: the driver's Hermitian
+    # eigensolve gives the lowest pair's right vector
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h1 = (m + m.conj().T) / 2
+    h0 = np.diag(rng.normal(size=dim)).astype(complex)
+    spec = AnnealSpec(h0, h1, linear_schedule(delta), 1.0, int(np.log2(dim)))
+    vals = np.linalg.eigvalsh(h1)
+    if vals[1] - vals[0] <= 1e-10:
+        with pytest.raises(AmbiguousGround):
+            initial_ground_state(spec)
+        return
+    v = initial_ground_state(spec)
+    ref = lowest_pair_eigensystem(total_hamiltonian(spec, 0.0)).right_vectors[:, 0]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(ref, v)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_initial_ground_state_makes_no_nonhermitian_eigensolve(monkeypatch):
+    spec = ising_anneal_spec(8, seed=1, delta0=0.5)
+    eig = np.linalg.eig
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    v = initial_ground_state(spec)
+    assert calls == []
+    # the transverse driver's ground state: the uniform superposition
+    assert abs(np.sum(v)) / 16.0 == pytest.approx(1.0, abs=1e-10)
+
+
+def test_decaying_driver_shift():
+    # the transverse driver's lowest level is -n; a positive semi-definite driver needs no shift
+    assert decaying_driver_shift(build_transverse(3)) == pytest.approx(3.0, abs=1e-12)
+    assert decaying_driver_shift(np.diag([0.0, 1.0, 2.0])) == 0.0
+
+
 def test_initial_ground_state_ambiguous():
     # commuting-free construction with an exactly degenerate bottom pair at s=0
     h0 = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
@@ -375,7 +423,7 @@ def test_decaying_n8_anneal_matches_scipy():
 
     sol = integrate.solve_ivp(rhs, (0.0, spec.tau), v0, method="DOP853", rtol=1e-12, atol=1e-14)
     ref = sol.y[:, -1]
-    res = evolve(spec, v0, samples=2, decaying_driver=True)
+    res = evolve(spec, v0, samples=2, driver_shift=decaying_driver_shift(spec.h1))
     assert res.success_probability == pytest.approx(success_probability(ref, spec.h0), rel=1e-8)
     assert res.norm_history[-1][1] == pytest.approx(np.linalg.norm(ref), rel=1e-8)
 

@@ -153,6 +153,17 @@ def test_make_anneal_spec_rejects_commuting_pair():
         make_anneal_spec(PAULI_Z, 2.0 * PAULI_Z, linear_schedule(0.0), 1.0, 1)
 
 
+def test_make_anneal_spec_rejects_dense_complex_commuting_pair():
+    # a polynomial in a dense complex Hermitian h0 commutes with it; a random h1 does not
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h0 = (m + m.conj().T) / 2
+    with pytest.raises(ValueError, match="commute"):
+        make_anneal_spec(h0, h0 @ h0 - 0.5 * h0, linear_schedule(0.0), 1.0, 2)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    make_anneal_spec(h0, (m + m.conj().T) / 2, linear_schedule(0.0), 1.0, 2)
+
+
 def test_make_anneal_spec_rejects_nonhermitian():
     with pytest.raises(ValueError):
         make_anneal_spec([[0, 1], [0, 0]], PAULI_X, linear_schedule(0.0), 1.0, 1)

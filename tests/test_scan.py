@@ -1,4 +1,4 @@
-"""Scans split between the process and one forked child: bit-identical outputs, serial failures, no child left.
+"""Scans and evolve sweeps split between the process and one forked child: bit-identical outputs, serial failures, no child left.
 
 The scenarios run in a separate interpreter (``_split_probe.py``) with BLAS
 pinned to one thread, so that its scans really split whatever this test
@@ -40,7 +40,7 @@ def test_split_scans_are_bit_identical_to_serial_scans(probe):
 
 def test_single_cpu_affinity_never_forks(probe):
     # so that `taskset -c 0` gives a serial run whose traced counts cover every call
-    assert [case["forks"] for case in probe["serial"].values()] == [0, 0, 0, 0, 0, 0]
+    assert [case["forks"] for case in probe["serial"].values()] == [0] * 10
 
 
 def test_scan_cheaper_than_a_fork_round_trip_runs_serially(probe):
@@ -80,4 +80,47 @@ def test_no_child_is_left_after_success_or_failure(probe):
         "parent_fails": True,
         "child_dies": True,
         "child_exits_early": True,
+        "evolve_sweep": True,
+        "evolve_unsorted": True,
+        "evolve_two_taus": True,
+        "evolve_child_underflow": True,
     }
+
+
+def rows(case):
+    """The data rows of an evolve CSV, keyed by tau."""
+    lines = [line for line in case["result"]["csv"].splitlines() if not line.startswith("#")]
+    return {line.split(",")[0]: line for line in lines[1:]}
+
+
+def test_evolve_sweep_forks_once_and_writes_the_serial_csv(probe):
+    split, serial = probe["split"]["evolve_sweep"], probe["serial"]["evolve_sweep"]
+    assert split["forks"] == 1
+    # the child integrated tau=300, this process the other three
+    assert split["result"]["taus_here"] == [10.0, 30.0, 100.0]
+    assert split["result"]["csv"] == serial["result"]["csv"]
+    assert list(rows(split)) == ["10", "30", "100", "300"]
+
+
+def test_evolve_sweep_of_two_taus_runs_serially(probe):
+    split, serial = probe["split"]["evolve_two_taus"], probe["serial"]["evolve_two_taus"]
+    assert split["forks"] == 0
+    assert split["result"] == serial["result"]
+
+
+def test_unsorted_tau_list_gives_the_same_rows_in_its_own_order(probe):
+    split, serial = probe["split"]["evolve_unsorted"], probe["serial"]["evolve_unsorted"]
+    assert split["forks"] == 1
+    assert split["result"]["csv"] == serial["result"]["csv"]
+    assert list(rows(split)) == ["300", "10", "100", "30"]
+    assert rows(split) == rows(probe["serial"]["evolve_sweep"])
+
+
+def test_step_underflow_in_the_childs_share_writes_the_serial_error_row(probe):
+    split, serial = probe["split"]["evolve_child_underflow"], probe["serial"]["evolve_child_underflow"]
+    assert split["forks"] == 1
+    assert split["result"]["taus_here"] == [10.0, 30.0, 100.0]
+    assert split["result"]["csv"] == serial["result"]["csv"]
+    assert rows(split)["300"] == "300,nan,nan,0,error:StepUnderflow"
+    ok = rows(probe["split"]["evolve_sweep"])
+    assert [rows(split)[tau] for tau in ("10", "30", "100")] == [ok[tau] for tau in ("10", "30", "100")]
