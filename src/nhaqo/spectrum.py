@@ -13,11 +13,11 @@ two or more CPUs in the affinity mask and no other thread (BLAS pinned to
 one thread), one forked child computes that half.  Results are
 bit-identical to a serial scan.
 
-Gap minima are polished by Brent's method from the grid point: the
-crossover's on the gap, exceptional-point candidates' on the discriminant
-(E_1 - E_0)^2 plus a few Gauss-Newton steps.  The discriminant is analytic
-through an exceptional point, where the gap closes like a square root and
-Brent's method on the gap stops about sqrt(eps) * s short of the closing.
+Each grid-local gap minimum is polished once, by Brent's method on the
+discriminant (E_1 - E_0)^2 plus a few Gauss-Newton steps; the crossover is
+the lowest polished minimum and the exceptional-point search tests the same
+list.  The discriminant is analytic through an exceptional point, where the
+gap closes like a square root and Brent's method on the gap stops short.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimize import brent, local_minima_indices, polished_minima, uniform_grid
+from ._minimize import brent, local_minima_indices, uniform_grid
 from ._scan import split_scan
 from .errors import ConvergenceFailure, MultipleMinimaWarning
 from .linalg import lowest_pair_eigensystem, maxnorm, sorted_eigenvalues
@@ -53,10 +53,11 @@ class SpectrumSnapshot:
 
 @dataclass
 class GapTrace:
-    """Gap samples over s plus the refined crossover location and minimum gap."""
+    """Gap samples over s, their polished gap minima as (s, gap) lowest first, and the crossover: the lowest."""
 
     spec: AnnealSpec
     snapshots: list[SpectrumSnapshot]
+    minima: list[tuple[float, float]]
     s_c: float = field(default=np.nan)
     g_m: float = field(default=np.nan)
 
@@ -91,65 +92,55 @@ def _lipschitz_bound(spec: AnnealSpec) -> float:
     return maxnorm(spec.h0) + maxnorm(spec.h1) * (1.0 + delta0_scale)
 
 
-def trace_gap(
-    spec: AnnealSpec,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refine: bool = True,
-) -> GapTrace:
-    """Sample the spectrum on a uniform s grid and locate the crossover.
+def trace_gap(spec: AnnealSpec, grid_points: int = DEFAULT_GRID_POINTS) -> GapTrace:
+    """Sample the spectrum on a uniform s grid, polish its gap minima and locate the crossover.
 
     Where the two lowest sorted eigenvalues, the pair the gap is taken of,
     move between consecutive samples faster than the schedule's Lipschitz
     bound allows, midpoints are inserted for up to ``MAX_REFINE_ROUNDS``
     passes.  Sort-order jumps of higher levels are ignored (jumps of the
     lowest pair at complex real-part crossings may persist; branch
-    continuation is out of scope).
+    continuation is out of scope).  Every grid-local minimum of the samples
+    is then polished once by :func:`_polish_discriminant`.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = [float(s) for s in uniform_grid(grid_points)]
     spectra = split_scan(lambda s: instantaneous_spectrum(spec, s).eigenvalues, grid, complex)
     snaps = [_snapshot(s, vals) for s, vals in zip(grid, spectra)]
-    if refine:
-        bound = _lipschitz_bound(spec)
-        slack = 1e-12 * max(bound, 1.0)
-        for _ in range(MAX_REFINE_ROUNDS):
-            new_points: list[float] = []
-            for a, b in zip(snaps[:-1], snaps[1:]):
-                step = b.s - a.s
-                motion = float(np.max(np.abs(b.eigenvalues[:2] - a.eigenvalues[:2])))
-                if motion > bound * step + slack:
-                    new_points.append(0.5 * (a.s + b.s))
-            if not new_points:
-                break
-            snaps.extend(instantaneous_spectrum(spec, s) for s in new_points)
-            snaps.sort(key=lambda sn: sn.s)
-    trace = GapTrace(spec, snaps)
+    bound = _lipschitz_bound(spec)
+    slack = 1e-12 * max(bound, 1.0)
+    for _ in range(MAX_REFINE_ROUNDS):
+        new_points: list[float] = []
+        for a, b in zip(snaps[:-1], snaps[1:]):
+            step = b.s - a.s
+            motion = float(np.max(np.abs(b.eigenvalues[:2] - a.eigenvalues[:2])))
+            if motion > bound * step + slack:
+                new_points.append(0.5 * (a.s + b.s))
+        if not new_points:
+            break
+        snaps.extend(instantaneous_spectrum(spec, s) for s in new_points)
+        snaps.sort(key=lambda sn: sn.s)
+    diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in snaps]
+    trace = GapTrace(spec, snaps, _gap_minima(spec, [sn.s for sn in snaps], diffs))
     trace.s_c, trace.g_m = find_crossover(trace)
     return trace
 
 
 def find_crossover(trace: GapTrace) -> tuple[float, float]:
-    """Refined location and value of the minimum gap: the lowest Brent-polished gap minimum.
+    """Location and value of the minimum gap: the lowest of the trace's polished minima.
 
     Emits :class:`MultipleMinimaWarning` (reporting both candidates) when a
     second local minimum lies within 1% of the global one.
     """
-    if len(trace.snapshots) < 3:
-        raise ValueError("need at least 3 snapshots")
-    xs = [sn.s for sn in trace.snapshots]
-    vals = [sn.gap for sn in trace.snapshots]
-
-    def f(s: float) -> float:
-        return gap_at(trace.spec, s)
-
-    cands = polished_minima(f, xs, vals)
-    s_c, g_m = cands[0]
-    if len(cands) > 1 and abs(cands[1][1] - g_m) <= 0.01 * g_m:
+    if len(trace.snapshots) < 3 or not trace.minima:
+        raise ValueError("need at least 3 snapshots and their polished gap minima")
+    (s_c, g_m), *rest = trace.minima
+    if rest and abs(rest[0][1] - g_m) <= 0.01 * g_m:
         warnings.warn(
             MultipleMinimaWarning(
                 f"two gap minima within 1%: (s={s_c:.9g}, gap={g_m:.9g}) and "
-                f"(s={cands[1][0]:.9g}, gap={cands[1][1]:.9g})"
+                f"(s={rest[0][0]:.9g}, gap={rest[0][1]:.9g})"
             ),
             stacklevel=2,
         )
@@ -181,8 +172,7 @@ def _polish_discriminant(
     point; up to three Gauss-Newton steps on q follow, each
     s - Re(q conj(q')) / |q'|^2 = s - Re(q / q') with q' the secant through
     the two best samples, kept only inside the bracket and while |q|
-    decreases.  Returns
-    the best sample as (s, gap), the grid point included.
+    decreases.  Returns the best sample as (s, gap), the grid point included.
     """
     lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
     samples = {xs[i]: diffs[i]}
@@ -209,6 +199,12 @@ def _polish_discriminant(
     return float(s_best), float(abs(d_best))
 
 
+def _gap_minima(spec: AnnealSpec, ss: list[float], diffs: list[complex]) -> list[tuple[float, float]]:
+    """Every grid-local minimum of |diffs| polished by :func:`_polish_discriminant`, lowest gap first."""
+    minima = local_minima_indices([float(abs(d)) for d in diffs])
+    return sorted((_polish_discriminant(spec, ss, diffs, i) for i in minima), key=lambda c: c[1])
+
+
 def detect_exceptional_point(
     spec: AnnealSpec,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -218,24 +214,21 @@ def detect_exceptional_point(
     """Search for an s where the gap closes and the lowest eigenvectors coalesce.
 
     Both signatures are required: a tiny gap with orthogonal eigenvectors is
-    an ordinary (diabolic) near-crossing and returns ``None``.  The gap is
-    scanned on a uniform grid of ``grid_points``, or, when a ``trace`` of
-    ``spec`` is given, its samples are polished instead and no new scan is
-    made.  Every grid-local minimum is polished by
-    :func:`_polish_discriminant`, and the candidates are tested in ascending
-    order of their gap.
+    an ordinary (diabolic) near-crossing and returns ``None``.  The candidates
+    are the polished gap minima of :func:`_gap_minima`, tested in ascending
+    order of their gap: a ``trace`` of ``spec`` supplies its ``minima``, with
+    no new scan or polish; without one, the gap is scanned on a uniform grid
+    of ``grid_points`` and its minima are polished.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     if trace is None:
         ss = [float(s) for s in uniform_grid(grid_points)]
-        diffs = list(split_scan(lambda s: _lowest_pair(spec, s)[1], ss, complex))
+        cands = _gap_minima(spec, ss, list(split_scan(lambda s: _lowest_pair(spec, s)[1], ss, complex)))
+    elif trace.minima:
+        cands = trace.minima
     else:
-        ss = [sn.s for sn in trace.snapshots]
-        diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in trace.snapshots]
-    gaps = [float(abs(d)) for d in diffs]
-    cands = [_polish_discriminant(spec, ss, diffs, i) for i in local_minima_indices(gaps)]
-    cands.sort(key=lambda c: c[1])
+        raise ValueError("trace carries no polished gap minima")
     gap_tol = EP_GAP_FACTOR * (maxnorm(spec.h0) + maxnorm(spec.h1))
     for s_min, gap_min in cands:
         if gap_min >= gap_tol:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import nhaqo._minimize
 import nhaqo.spectrum
 from nhaqo._minimize import brent, local_minima_indices, uniform_grid
-from nhaqo.cli import build_config, run_gap_trace
+from nhaqo.cli import build_config, fmt, run_gap_trace
 from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
 from nhaqo.linalg import eig_nonhermitian, maxnorm
 from nhaqo.model import (
@@ -25,6 +25,7 @@ from nhaqo.model import (
 )
 from nhaqo.spectrum import (
     EP_GAP_FACTOR,
+    _gap_minima,
     _lowest_pair,
     _polish_discriminant,
     detect_exceptional_point,
@@ -130,7 +131,7 @@ def test_crossover_warns_on_tied_minima():
     )
     spec = AnnealSpec(h0, h1, sched, 1.0, 1)
     with pytest.warns(MultipleMinimaWarning):
-        trace_gap(spec, 201, refine=False)
+        trace_gap(spec, 201)
 
 
 def test_rotation_schedule_has_constant_gap():
@@ -147,7 +148,8 @@ def test_rotation_schedule_has_constant_gap():
     spec = AnnealSpec(PAULI_Z, PAULI_X, sched, 1.0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)  # constant gap: every point ties
-        trace = trace_gap(spec, 201, refine=False)
+        trace = trace_gap(spec, 201)
+    assert len(trace.snapshots) == 201
     assert trace.g_m == pytest.approx(2.0, abs=1e-9)
 
 
@@ -159,21 +161,29 @@ def test_find_crossover_requires_three_snapshots():
         find_crossover(trace)
 
 
+def test_crossover_and_ep_search_reject_a_trace_without_minima():
+    trace = trace_gap(two_level_spec(1.0, 0.0, 0.3), 11)
+    trace.minima = []
+    with pytest.raises(ValueError, match="polished gap minima"):
+        find_crossover(trace)
+    with pytest.raises(ValueError, match="no polished gap minima"):
+        detect_exceptional_point(trace.spec, trace=trace)
+
+
 def test_eigenvalue_continuity_refinement_inserts_points():
     # Hermitian eigenvalue speeds stay inside the bound: no refinement
     spec = two_level_spec(1.0, 0.0, float(np.arcsin(1e-5)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)
-        refined = trace_gap(spec, 101, refine=True)
+        refined = trace_gap(spec, 101)
     assert len(refined.snapshots) == 101
     # complex spectra jump in the (Re, Im) sort order when real parts cross:
     # the bound is violated locally and midpoints are inserted
     spec_nh = ising_anneal_spec(4, seed=130, delta0=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)
-        coarse = trace_gap(spec_nh, 101, refine=False)
-        dense = trace_gap(spec_nh, 101, refine=True)
-    assert len(coarse.snapshots) == 101
+        dense = trace_gap(spec_nh, 101)
+    assert set(uniform_grid(101)) <= {sn.s for sn in dense.snapshots}
     assert len(dense.snapshots) > 101
     assert [sn.s for sn in dense.snapshots] == sorted(sn.s for sn in dense.snapshots)
 
@@ -185,16 +195,14 @@ def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     h0 = np.diag([-3.0, -2.0, 1.0, 2.0]).astype(complex)
     h1 = np.diag([-3.0, -2.0, 3.0, 0.0]).astype(complex)
     spec = AnnealSpec(h0, h1, linear_schedule(1.0), 1.0, 2)
-    coarse = trace_gap(spec, 101, refine=False)
+    grid = [float(s) for s in uniform_grid(101)]
+    coarse = [instantaneous_spectrum(spec, s).eigenvalues for s in grid]
     # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step
     bound_step = (3.0 + 3.0 * (1.0 + 1.0)) / 100
-    jumps = [
-        float(np.max(np.abs(b.eigenvalues[2:] - a.eigenvalues[2:])))
-        for a, b in zip(coarse.snapshots[:-1], coarse.snapshots[1:])
-    ]
+    jumps = [float(np.max(np.abs(b[2:] - a[2:]))) for a, b in zip(coarse[:-1], coarse[1:])]
     assert max(jumps) > 5 * bound_step
-    refined = trace_gap(spec, 101, refine=True)
-    assert [sn.s for sn in refined.snapshots] == [sn.s for sn in coarse.snapshots]
+    refined = trace_gap(spec, 101)
+    assert [sn.s for sn in refined.snapshots] == grid
 
 
 def test_trace_gap_computes_no_eigenvectors(monkeypatch):
@@ -214,9 +222,9 @@ def test_trace_gap_computes_no_eigenvectors(monkeypatch):
 
 
 def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
-    # every H(s) outside polishing (Brent's method for the crossover, the
-    # discriminant polish for EP candidates) belongs to one trace sample:
-    # the uniform grid once plus the refined points, with no second scan.
+    # every H(s) outside the discriminant polish of the gap minima belongs
+    # to one trace sample: the uniform grid once plus the refined points,
+    # with no second scan.
     # At n=5 the grid's second half outlasts a fork round trip, so with BLAS
     # pinned to one thread a forked child builds those H(s): CallLogs count them
     polishing = [False]
@@ -238,7 +246,6 @@ def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
         return run
 
     monkeypatch.setattr(nhaqo.spectrum, "total_hamiltonian", counted_build)
-    monkeypatch.setattr(nhaqo._minimize, "brent", flagged(nhaqo._minimize.brent))
     monkeypatch.setattr(nhaqo.spectrum, "_polish_discriminant", flagged(nhaqo.spectrum._polish_discriminant))
     cfg = build_config(
         "gap-trace",
@@ -252,6 +259,58 @@ def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
     assert sorted(scanned) == sampled
     assert set(np.arange(101) / 100) <= set(scanned)
     assert polished
+
+
+def _gap_trace_footers(tmp_path, *overrides: str) -> dict[str, str]:
+    cfg = build_config("gap-trace", overrides=list(overrides), out=str(tmp_path / "trace.csv"))
+    with open(run_gap_trace(cfg), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return {ln[2:].split("=", 1)[0].split(" ", 1)[0]: ln for ln in lines if ln.startswith("# ")}
+
+
+def test_gap_trace_polishes_each_minimum_once_on_the_discriminant(monkeypatch, call_log, tmp_path):
+    # the crossover and the EP search share one polish per grid-local minimum:
+    # no gap-based Brent pass, and the EP search reuses the trace's minima.
+    # CallLogs count the eigensolves of a forked scan child too
+    spec = ising_anneal_spec(6, seed=1, delta0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        trace = trace_gap(spec, 201)
+    eigensolves, polished, gap_polish = call_log(), call_log(), call_log()
+    for name in ("eigvals", "eig"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver: eigensolves.append() or _solver(a))
+    for module, name in ((nhaqo.spectrum, "gap_at"), (nhaqo._minimize, "polished_minima")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn: gap_polish.append() or _fn(*a))
+    polish = nhaqo.spectrum._polish_discriminant
+    monkeypatch.setattr(nhaqo.spectrum, "_polish_discriminant", lambda *a: polished.append(a[3]) or polish(*a))
+    footers = _gap_trace_footers(tmp_path, "model=ising", "n_qubits=6", "seed=1", "delta0=0.5", "grid_points=201")
+    assert "polished_minima" not in vars(nhaqo.spectrum)
+    assert len(gap_polish) == 0
+    assert list(polished) == local_minima_indices([sn.gap for sn in trace.snapshots])
+    # 201 grid points plus 4 refined, then one polish pass of 31 over the two
+    # minima; a second, gap-based pass over the same minima would add 30
+    assert len(trace.snapshots) == 205
+    assert len(eigensolves) == 205 + 31
+    assert "ep" not in footers
+    assert footers["s_c"] == f"# s_c={fmt(trace.s_c)}"
+    assert footers["g_m"] == f"# g_m={fmt(trace.g_m)}"
+
+
+def test_gap_trace_crossover_is_the_exceptional_point(tmp_path):
+    # criterion 7's coalescence: the gap closes like sqrt|s - 5/9|, and the
+    # crossover polish reaches it as the EP search does (a gap-based Brent
+    # polish stopped at g_m = 1.39e-4)
+    footers = _gap_trace_footers(
+        tmp_path, "model=two-level", "j_star=1", f"delta0={EP_D0!r}", f"alpha={EP_ALPHA!r}", "grid_points=1001"
+    )
+    ep = dict(kv.split("=") for kv in footers["ep"].split()[2:])
+    s_c = footers["s_c"].split("=")[1]
+    g_m = float(footers["g_m"].split("=")[1])
+    assert s_c == ep["s"]
+    assert g_m == pytest.approx(float(ep["gap"]), abs=1e-12)
+    assert g_m < 1e-7
 
 
 def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
@@ -345,10 +404,14 @@ def test_crossover_polish_takes_at_most_32_gap_evaluations(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)
         trace = trace_gap(spec, 201)
+    ss = [sn.s for sn in trace.snapshots]
+    diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in trace.snapshots]
     calls = []
-    monkeypatch.setattr(nhaqo.spectrum, "gap_at", lambda spec, s, _gap_at=gap_at: calls.append(s) or _gap_at(spec, s))
-    assert find_crossover(trace) == (trace.s_c, trace.g_m)
-    # golden section to xtol 1e-8 spent 63 on this trace's two minima
+    monkeypatch.setattr(nhaqo.spectrum, "_lowest_pair", lambda spec, s, _f=_lowest_pair: calls.append(s) or _f(spec, s))
+    # the trace's polish, repeated on its samples: each evaluation is one eigensolve
+    assert _gap_minima(spec, ss, diffs) == trace.minima
+    assert find_crossover(trace) == (trace.s_c, trace.g_m) == trace.minima[0]
+    # 31 over this trace's two minima; golden section to xtol 1e-8 spent 63
     assert len(calls) <= 32
 
 
