@@ -4,11 +4,13 @@ All "much greater than" inequalities are reported as plain thresholds; the
 caller picks a safety factor.  Schedule derivatives use centered differences
 (one-sided at the interval ends) since schedules are opaque callables.
 
-The measured matrix element's grid goes through
-:func:`nhaqo._scan.split_scan`: where the child's half of the points would
-take longer than a fork round trip, with two or more CPUs in the affinity
-mask and no other thread (BLAS pinned to one thread), one forked child
-computes that half.  Results are bit-identical to a serial scan.
+The measured matrix element's maximum is found by a scan (101 points by
+default) whose grid-local maxima Brent's method polishes
+(:func:`nhaqo._minimize.polished_minima` on the negated element).  The scan
+goes through :func:`nhaqo._scan.split_scan`: where the child's half of the
+points would take longer than a fork round trip, with two or more CPUs in
+the affinity mask and no other thread (BLAS pinned to one thread), one
+forked child computes that half.  Results are bit-identical to a serial scan.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._minimize import uniform_grid
+from ._minimize import polished_minima, uniform_grid
 from ._scan import split_scan
 from .errors import ZeroGap
 from .linalg import lowest_pair_eigensystem
@@ -69,22 +71,24 @@ def _max_drive_flux(params: TwoLevelParams, schedule: Schedule, grid: np.ndarray
     return best, scale
 
 
-def measured_matrix_element(spec: AnnealSpec, grid_points: int = 1001) -> float:
+def measured_matrix_element(spec: AnnealSpec, grid_points: int = 101) -> float:
     """Max over s of the bi-orthogonal element |<psi~_e| dH/ds |psi_g>|.
 
-    A grid point is skipped (counted as 0) exactly when pair 0 or pair 1,
-    the only pairs the element uses, is flagged as coalesced.
+    ``grid_points`` uniform points are scanned, and every grid-local maximum
+    is polished by Brent's method between its grid neighbours; the largest
+    polished value is returned.  The element reads 0 at an s where pair 0 or
+    pair 1, the only pairs it uses, is flagged as coalesced.
     """
-    def element(s: float) -> float:
+    def negated(s: float) -> float:
         es = lowest_pair_eigensystem(total_hamiltonian(spec, s))
         if es.defect_flags.any():
             return 0.0
         df0, df1, df2 = schedule_rates(spec.schedule, s)
         dh = df0 * spec.h0 + (df1 - 1j * df2) * spec.h1
-        return float(abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0])))
+        return -float(abs(es.left_vectors[1] @ (dh @ es.right_vectors[:, 0])))
 
     grid = [float(s) for s in uniform_grid(grid_points)]
-    return float(max([0.0, *split_scan(element, grid, float)]))
+    return max(0.0, -polished_minima(negated, grid, split_scan(negated, grid, float))[0][1])
 
 
 def min_time_nonhermitian(
@@ -96,8 +100,10 @@ def min_time_nonhermitian(
 
     tau_min = sin(alpha)_eff * max|J dg~/ds - g~ dJ/ds| / gap_min^3, where
     sin(alpha)_eff is the 2^(-n/2) estimate for n >= 2 qubits and the
-    measured angle otherwise.  The directly measured bi-orthogonal matrix
-    element maximum is reported alongside for comparison.
+    measured angle otherwise.  ``grid_points`` samples the drive flux and the
+    reduced-model gap.  The directly measured bi-orthogonal matrix element
+    maximum (:func:`measured_matrix_element` at its default scan, polished)
+    is reported alongside for comparison.
 
     Raises
     ------
@@ -114,7 +120,7 @@ def min_time_nonhermitian(
         raise ZeroGap(f"reduced-model gap {gap_min:.3e} is numerically zero")
     return AdiabaticBudget(
         tau_min=float(sin_eff * flux / gap_min**3),
-        measured_matrix_element=measured_matrix_element(spec, grid_points),
+        measured_matrix_element=measured_matrix_element(spec),
     )
 
 
@@ -124,7 +130,7 @@ def tau_window(
     delta_qubit: float,
     grid_points: int = 1001,
 ) -> AdiabaticBudget:
-    """Runtime window tau_min << tau << 1/delta_qubit."""
+    """Runtime window tau_min << tau << 1/delta_qubit; ``grid_points`` as in :func:`min_time_nonhermitian`."""
     if delta_qubit <= 0:
         raise ValueError("delta_qubit must be positive")
     budget = min_time_nonhermitian(spec, params, grid_points)

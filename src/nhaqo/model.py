@@ -16,7 +16,6 @@ from .errors import DuplicateCoupling
 from .linalg import ensure_operator, hermitian_defect, is_hermitian, maxnorm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 import nhaqo.adiabatic
 from nhaqo import cli
+from nhaqo._minimize import uniform_grid
 from nhaqo.adiabatic import measured_matrix_element
 from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning, StepUnderflow
 from nhaqo.model import ising_anneal_spec, total_hamiltonian
@@ -95,7 +96,11 @@ def trace_failing_at(s_bad):
 
 
 def element_with_child_leaving(leave):
-    """measured_matrix_element on 51 points where any forked child calls ``leave()`` at its first point."""
+    """measured_matrix_element on a 51-point scan where any forked child calls ``leave()`` at its first point.
+
+    ``points_here`` counts the element's evaluations in this process, scan and
+    polish; ``grid_points_here`` the distinct scan points among them.
+    """
     parent = os.getpid()
     build = nhaqo.adiabatic.total_hamiltonian
     points = []
@@ -108,9 +113,11 @@ def element_with_child_leaving(leave):
 
     nhaqo.adiabatic.total_hamiltonian = dying
     try:
-        return {"element": measured_matrix_element(SPEC5, 51).hex(), "points_here": len(points)}
+        element = measured_matrix_element(SPEC5, 51).hex()
     finally:
         nhaqo.adiabatic.total_hamiltonian = build
+    grid = {float(s) for s in uniform_grid(51)}
+    return {"element": element, "points_here": len(points), "grid_points_here": len(grid.intersection(points))}
 
 
 def evolve_csv(tau_list, fail_at=None):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nhaqo import cli
+from nhaqo import adiabatic, cli
 from nhaqo.adiabatic import measured_matrix_element
 from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state
 from nhaqo.model import ising_anneal_spec
@@ -72,11 +72,14 @@ def counting(monkeypatch, holder, name, calls):
 
 def test_measured_matrix_element_makes_one_eig_per_point_and_no_inverse(monkeypatch, call_log):
     spec = ising_anneal_spec(5, seed=1, delta0=0.5)
-    # a CallLog counts the calls of a forked scan child too
+    # a CallLog counts the calls of a forked scan child too; every evaluation of the
+    # element, on the scan or in the polish, builds H(s) once
+    points = counting(monkeypatch, adiabatic, "total_hamiltonian", call_log())
     eig_calls = counting(monkeypatch, np.linalg, "eig", call_log())
     inv_calls = counting(monkeypatch, np.linalg, "inv", call_log())
-    measured_matrix_element(spec, grid_points=51)
-    assert len(eig_calls) == 51
+    measured_matrix_element(spec)
+    assert 101 < len(points) <= 170
+    assert len(eig_calls) == len(points)
     assert inv_calls == []
 
 

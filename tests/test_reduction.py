@@ -9,7 +9,6 @@ from scipy.optimize import minimize_scalar
 from nhaqo.errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
 from nhaqo.model import (
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     ising_anneal_spec,
     linear_schedule,
@@ -29,6 +28,8 @@ from nhaqo.reduction import (
     two_level_gap,
 )
 from nhaqo.spectrum import trace_gap
+
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 STD_BASIS = TwoLevelBasis(
     v0=np.array([1.0, 0.0], dtype=complex),

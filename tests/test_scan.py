@@ -67,8 +67,9 @@ def test_eigensolver_failure_in_the_parents_half_raises_the_serial_message(probe
 def test_child_half_is_recomputed_serially_when_the_child_dies_or_sends_short_data(probe, case):
     split, serial = probe["split"][case], probe["serial"][case]
     assert split["forks"] == 1
-    # every point was computed in this process: its own half and then the child's
-    assert split["result"]["points_here"] == 51
+    # every scan point was computed in this process: its own half and then the child's
+    assert split["result"]["grid_points_here"] == 51
+    assert split["result"]["points_here"] == serial["result"]["points_here"]
     assert split["result"] == serial["result"]
 
 
