@@ -16,15 +16,13 @@ from .adiabatic import (
 from .evolve import EvolutionResult, decaying_driver_shift, evolve, initial_ground_state, success_probability
 from .linalg import (
     EigenSystem,
-    biorthonormal_eigensystem,
     biorthonormalize,
     eig_nonhermitian,
 )
 from .model import (
     AnnealSpec,
     Schedule,
-    build_ising,
-    build_transverse,
+    XorTerms,
     ising_anneal_spec,
     linear_schedule,
     make_anneal_spec,
@@ -65,11 +63,9 @@ __all__ = [
     "SpectrumSnapshot",
     "TwoLevelBasis",
     "TwoLevelParams",
-    "biorthonormal_eigensystem",
+    "XorTerms",
     "biorthonormalize",
     "build_crossover_basis",
-    "build_ising",
-    "build_transverse",
     "decaying_driver_shift",
     "decompose_schedule_params",
     "detect_exceptional_point",

@@ -395,7 +395,7 @@ def run_evolve(cfg: ExperimentConfig) -> str:
     assert taus and taus[0] is not None
     spec = _build_spec(cfg)
     initial = initial_ground_state(spec)
-    shift = decaying_driver_shift(spec.h1) if cfg.decaying_driver else 0.0
+    shift = decaying_driver_shift(spec.driver) if cfg.decaying_driver else 0.0
 
     def run(tau: float) -> tuple[float, float, int, int]:
         """(success probability, final norm, steps, status code) at one tau."""

@@ -11,9 +11,11 @@ left state under the conjugate-transposed generator so that the bi-orthogonal
 product <psi~|psi> is conserved.  The state is never renormalized during the
 run: norm decay is the physics of the decay term.  The decaying driver's
 shift depends on the driver alone: :func:`decaying_driver_shift` computes it
-once, and a sweep passes it to every :func:`evolve` call.  Where the schedule
-starts on the driver alone, the initial ground state comes from one Hermitian
-eigensolve of the driver.
+once, and a sweep passes it to every :func:`evolve` call.  The integrator
+reads the spec's stored XOR-diagonal terms and never its dense matrices.
+Where the schedule starts on a driver of single-bit flips, as the transverse
+driver is, the initial ground state and the shift are closed forms, so an
+Ising anneal runs with no eigensolve; any other driver is diagonalized.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .errors import (
     NonFiniteState,
     StepUnderflow,
 )
-from .linalg import _fix_column_phases, ensure_operator, is_hermitian, lowest_pair_eigensystem
-from .model import AnnealSpec, total_hamiltonian
+from .linalg import _fix_column_phases, lowest_pair_eigensystem
+from .model import AnnealSpec, XorTerms, total_hamiltonian
 
 DEFAULT_TOL = 1e-10
 MIN_STEP_FACTOR = 1e-12
@@ -102,28 +104,28 @@ class EvolutionResult:
     max_local_error: float
 
 
-def success_probability(result_state, h0) -> float:
+def success_probability(result_state, target: XorTerms) -> float:
     """Normalized overlap with the ground state of the target Hamiltonian.
 
     Returns |<g0|psi>|^2 / <psi|psi>; division by the state norm compensates
-    non-Hermitian norm loss.  A degenerate ground space (gap of ``h0`` below
-    1e-10) falls back to the projector overlap onto the whole ground space
-    and emits :class:`DegenerateTargetWarning`.  A diagonal ``h0`` (every
-    Ising problem) is read off the amplitudes, with no eigensolve.
+    non-Hermitian norm loss.  A degenerate ground space (gap of ``target``
+    below 1e-10) falls back to the projector overlap onto the whole ground
+    space and emits :class:`DegenerateTargetWarning`.  A diagonal target, a
+    mask-0 term alone as every Ising problem is, is read off the amplitudes
+    with no eigensolve; any other target is diagonalized densely.
     """
-    a = ensure_operator(h0)
-    if not is_hermitian(a):
+    if not target.is_hermitian():
         raise ValueError("target Hamiltonian must be Hermitian")
     psi = np.asarray(result_state, dtype=complex)
     nrm2 = float(np.vdot(psi, psi).real)
     if nrm2 <= 0.0:
         raise ValueError("state has zero norm")
-    diag = np.diagonal(a).real
-    if np.count_nonzero(a) == np.count_nonzero(diag):
+    if target.masks.tolist() == [0]:
+        diag = target.diagonals[0].real
         ground = np.flatnonzero(diag - diag.min() <= 1e-10)
         amps = psi[ground]
     else:
-        vals, vecs = np.linalg.eigh(a)
+        vals, vecs = np.linalg.eigh(target.dense())
         ground = np.flatnonzero(vals - vals[0] <= 1e-10)
         amps = vecs[:, ground].conj().T @ psi
     if ground.size > 1:
@@ -136,16 +138,25 @@ def success_probability(result_state, h0) -> float:
     return float(np.sum(np.abs(amps) ** 2) / nrm2)
 
 
+def _flip_weights(h1: XorTerms) -> np.ndarray | None:
+    """w with h1 = -sum_k w_k X_k over its masks k, each a single-bit flip; None where h1 is no such sum."""
+    masks, diags = h1.masks, h1.diagonals
+    if (masks == 0).any() or (masks & (masks - 1)).any() or (diags != diags[:, :1]).any() or diags.imag.any():
+        return None
+    return -diags[:, 0].real
+
+
 def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
     """Unit right eigenvector with the smallest real eigenvalue at s = 0.
 
     The full Hamiltonian at s = 0, including any problem-term admixture,
     defines the ground state.  Where f0(0) = 0 and f1(0) > 0, as in every
-    schedule nhaqo builds, H(0) = (f1 - i f2) h1 is a complex multiple of
-    the Hermitian driver with the driver's eigenvectors and real parts f1
-    times its eigenvalues: the vector comes from ``np.linalg.eigh(h1)``.
-    Any other schedule takes it from the lowest pair of H(0).  Either way
-    its largest entry is made real and positive.
+    schedule nhaqo builds, H(0) = (f1 - i f2) h1 shares the driver's
+    eigenvectors, with real parts f1 times its eigenvalues.  A driver
+    -sum_k w_k X_k of single-bit flips (the transverse driver) has the closed
+    form: |+> on each bit with w_k > 0 and |-> where w_k < 0, at -sum_k |w_k|.
+    Any other driver goes through ``np.linalg.eigh``, and any other schedule
+    through the lowest pair of H(0).  The largest entry is made real and positive.
 
     Raises
     ------
@@ -153,7 +164,17 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
         If the two lowest real parts coincide within 1e-10.
     """
     f1 = spec.schedule.f1(0.0)
-    if spec.schedule.f0(0.0) == 0.0 and f1 > 0.0:
+    on_driver = spec.schedule.f0(0.0) == 0.0 and f1 > 0.0
+    w = _flip_weights(spec.driver) if on_driver else None
+    if w is not None:
+        rows = np.arange(spec.driver.diagonals.shape[1])
+        # the next level flips the weakest bit; a bit without a flip leaves the pair degenerate
+        gap = 2.0 * np.abs(w).min() if 1 << w.size == rows.size else 0.0
+        lowest = f1 * (np.array([0.0, gap]) - np.abs(w).sum())
+        v = np.ones(rows.size, dtype=complex)
+        for mask in spec.driver.masks[w < 0]:
+            v[rows & mask != 0] *= -1.0
+    elif on_driver:
         vals, vecs = np.linalg.eigh(spec.h1)
         lowest = vals[:2] * f1
         v = _fix_column_phases(vecs[:, :1])[:, 0]
@@ -166,33 +187,35 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def decaying_driver_shift(h1) -> float:
-    """max(0, -lambda_min(h1)): the shift that makes the decaying driver h1 + shift positive semi-definite."""
-    return max(0.0, -float(np.linalg.eigvalsh(h1)[0]))
+def decaying_driver_shift(h1: XorTerms) -> float:
+    """max(0, -lambda_min(h1)): the shift that makes the decaying driver h1 + shift positive semi-definite.
+
+    A driver -sum_k w_k X_k of single-bit flips needs sum_k |w_k|; any other goes through ``eigvalsh``.
+    """
+    w = _flip_weights(h1)
+    return float(np.abs(w).sum()) if w is not None else max(0.0, -float(np.linalg.eigvalsh(h1.dense())[0]))
 
 
 def _xor_terms(spec: AnnealSpec, adjoint: bool, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """The generator -i H as XOR-diagonals: (m @ y)[r] = sum_k m[r, r ^ k] y[r ^ k].
 
-    Keeps the masks k where h0 or h1 has a nonzero entry, mask 0 first (an
-    Ising problem is mask 0 alone, the transverse driver n bit flips).
-    Returns ``idx[j, r] = r ^ k_j`` and a (3, masks * dim) stack whose rows,
-    weighted by f0, f1 and f2, sum to the generator: -i h0, -i h1 and the
-    decay term -(h1 + shift).  ``adjoint`` conjugate-transposes the terms and
-    flips the decay term's sign: the generator -i H^dagger of the left state.
+    Takes the union of the stored problem and driver masks and mask 0, in
+    ascending order (an Ising problem is mask 0 alone, the transverse driver
+    n bit flips).  Returns ``idx[j, r] = r ^ k_j`` and a (3, masks * dim)
+    stack whose rows, weighted by f0, f1 and f2, sum to the generator: -i h0,
+    -i h1 and the decay term -(h1 + shift).  ``adjoint`` conjugate-transposes
+    the terms and flips the decay term's sign: the generator -i H^dagger of
+    the left state.
     """
-    h0, h1, sign = spec.h0, spec.h1, -1.0
-    if adjoint:
-        h0, h1, sign = h0.conj().T, h1.conj().T, 1.0
-    rows = np.arange(h0.shape[0])
-    used = rows == 0  # mask 0 always: the shift sits on the diagonal
-    for r, c in (np.nonzero(h0), np.nonzero(h1)):
-        used[r ^ c] = True
-    idx = rows ^ np.flatnonzero(used)[:, None]
-    terms = np.empty((3,) + idx.shape, dtype=complex)
-    terms[0] = -1j * h0[rows, idx]
-    terms[1] = -1j * h1[rows, idx]
-    terms[2] = sign * h1[rows, idx]
+    problem, driver = spec.problem, spec.driver
+    masks = np.union1d(np.union1d(problem.masks, driver.masks), [0])  # mask 0: the shift's diagonal
+    idx = np.arange(problem.diagonals.shape[1]) ^ masks[:, None]
+    terms = np.zeros((3,) + idx.shape, dtype=complex)
+    for row, term in enumerate((problem, driver)):
+        terms[row, np.searchsorted(masks, term.masks)] = term.adjoint() if adjoint else term.diagonals
+    sign = 1.0 if adjoint else -1.0
+    terms[2] = sign * terms[1]
+    terms[:2] *= -1j
     terms[2, 0] += sign * shift
     return idx, terms.reshape(3, -1)
 
@@ -211,7 +234,7 @@ def evolve(
     ``adjoint`` evolves the left state (returned as a column vector) under
     the conjugate-transposed generator.  ``driver_shift`` adds that multiple
     of the identity to the driver inside the decay term; with
-    ``decaying_driver_shift(spec.h1)`` the norm is non-increasing, and
+    ``decaying_driver_shift(spec.driver)`` the norm is non-increasing, and
     eigenvalue differences are unaffected.
 
     Raises
@@ -291,7 +314,7 @@ def evolve(
     return EvolutionResult(
         final_state=psi,
         norm_history=norms,
-        success_probability=success_probability(psi, spec.h0),
+        success_probability=success_probability(psi, spec.problem),
         steps_taken=steps,
         max_local_error=max_err,
     )

@@ -44,18 +44,6 @@ def ensure_operator(m) -> np.ndarray:
     return a
 
 
-def hermitian_defect(m) -> float:
-    """Entrywise deviation from self-adjointness, max |M - M^dagger|."""
-    a = np.asarray(m, dtype=complex)
-    return maxnorm(a - a.conj().T)
-
-
-def is_hermitian(m, rtol: float = 1e-12) -> bool:
-    """Self-adjoint up to ``rtol`` times the matrix maxnorm."""
-    a = np.asarray(m, dtype=complex)
-    return hermitian_defect(a) <= rtol * maxnorm(a)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Paired right/left eigensystem, sorted ascending by (Re, Im).
@@ -163,7 +151,7 @@ def eig_nonhermitian(m) -> EigenSystem:
 
 
 def lowest_pair_eigensystem(m) -> EigenSystem:
-    """The first min(2, dim) pairs of :func:`biorthonormal_eigensystem`, without the full inverse.
+    """The first min(2, dim) pairs of :func:`eig_nonhermitian`, bi-orthonormalized, without the full inverse.
 
     Eigenvalues, right vectors and defect flags equal those of
     :func:`eig_nonhermitian`; the left rows come from one solve with R^T.
@@ -196,8 +184,3 @@ def biorthonormalize(es: EigenSystem) -> EigenSystem:
     raw = np.einsum("ij,ji->i", es.left_vectors, es.right_vectors)
     scale = np.where(flags, 1.0, raw)
     return replace(es, left_vectors=es.left_vectors / scale[:, None])
-
-
-def biorthonormal_eigensystem(m) -> EigenSystem:
-    """Convenience: :func:`eig_nonhermitian` followed by :func:`biorthonormalize`."""
-    return biorthonormalize(eig_nonhermitian(m))

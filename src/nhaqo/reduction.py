@@ -17,7 +17,7 @@ import numpy as np
 
 from ._minimize import polished_minima, uniform_grid
 from .errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
-from .linalg import ensure_operator, lowest_pair_eigensystem, maxnorm
+from .linalg import ensure_operator, lowest_pair_eigensystem
 from .model import AnnealSpec, Schedule, total_hamiltonian
 
 
@@ -143,9 +143,9 @@ def decompose_schedule_params(spec: AnnealSpec, basis: TwoLevelBasis) -> TwoLeve
     r1 = np.array([x1.real, y1.real, z1.real])
     n0 = float(np.linalg.norm(r0))
     n1 = float(np.linalg.norm(r1))
-    if n0 < 1e-12 * max(maxnorm(spec.h0), 1e-300):
+    if n0 < 1e-12 * max(spec.problem.maxnorm(), 1e-300):
         raise ZeroBlochVector("problem term projects to a scalar in the crossover basis")
-    if n1 < 1e-12 * max(maxnorm(spec.h1), 1e-300):
+    if n1 < 1e-12 * max(spec.driver.maxnorm(), 1e-300):
         raise ZeroBlochVector("driver term projects to a scalar in the crossover basis")
     # atan2 keeps alpha relatively accurate near 0 and pi, where arccos of the
     # cosine loses half the digits

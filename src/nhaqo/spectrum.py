@@ -30,7 +30,7 @@ import numpy as np
 from ._minimize import brent, local_minima_indices, uniform_grid
 from ._scan import split_scan
 from .errors import ConvergenceFailure, MultipleMinimaWarning
-from .linalg import lowest_pair_eigensystem, maxnorm, sorted_eigenvalues
+from .linalg import lowest_pair_eigensystem, sorted_eigenvalues
 from .model import AnnealSpec, total_hamiltonian
 
 DEFAULT_GRID_POINTS = 1001
@@ -89,7 +89,7 @@ def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
 
 def _lipschitz_bound(spec: AnnealSpec) -> float:
     delta0_scale = max(float(spec.schedule.f2(0.0)), 0.0)
-    return maxnorm(spec.h0) + maxnorm(spec.h1) * (1.0 + delta0_scale)
+    return spec.problem.maxnorm() + spec.driver.maxnorm() * (1.0 + delta0_scale)
 
 
 def trace_gap(spec: AnnealSpec, grid_points: int = DEFAULT_GRID_POINTS) -> GapTrace:
@@ -229,7 +229,7 @@ def detect_exceptional_point(
         cands = trace.minima
     else:
         raise ValueError("trace carries no polished gap minima")
-    gap_tol = EP_GAP_FACTOR * (maxnorm(spec.h0) + maxnorm(spec.h1))
+    gap_tol = EP_GAP_FACTOR * (spec.problem.maxnorm() + spec.driver.maxnorm())
     for s_min, gap_min in cands:
         if gap_min >= gap_tol:
             break

@@ -12,14 +12,13 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize_scalar
 
+from _reference import biorthonormal_eigensystem, dense_spec
 from conftest import corpus_data
 from nhaqo.adiabatic import min_time_linear_ramp
 from nhaqo.cli import main
 from nhaqo.errors import MultipleMinimaWarning
 from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state
-from nhaqo.linalg import biorthonormal_eigensystem
 from nhaqo.model import (
-    AnnealSpec,
     Schedule,
     ising_anneal_spec,
     linear_schedule,
@@ -175,7 +174,7 @@ def test_criterion_05_integrator_correctness():
     for k in range(100):
         dim = (2, 4, 8, 16)[k % 4]
         m = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(dim)
-        spec = AnnealSpec(
+        spec = dense_spec(
             0.5 * (m + m.conj().T), 0.5j * (m - m.conj().T), frozen, 2.0, int(np.log2(dim))
         )
         v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -252,7 +251,7 @@ def windowed_success(spec, tau, tol=1e-8, segments=40, decaying=True):
     """
     spec = dataclasses.replace(spec, tau=tau)
     state = initial_ground_state(spec)
-    shift = decaying_driver_shift(spec.h1) if decaying else 0.0
+    shift = decaying_driver_shift(spec.driver) if decaying else 0.0
     f0, f1, f2 = spec.schedule.f0, spec.schedule.f1, spec.schedule.f2
     edges = np.linspace(0.0, 1.0, segments + 1)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -267,7 +266,7 @@ def windowed_success(spec, tau, tol=1e-8, segments=40, decaying=True):
         ).final_state
     from nhaqo.evolve import success_probability
 
-    return success_probability(state, spec.h0)
+    return success_probability(state, spec.problem)
 
 
 def test_criterion_09_nonhermitian_advantage():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from _reference import biorthonormal_eigensystem
 from nhaqo._minimize import uniform_grid
 from nhaqo.adiabatic import (
     _max_drive_flux,
@@ -14,7 +15,6 @@ from nhaqo.adiabatic import (
     tau_window,
 )
 from nhaqo.errors import DefectiveSystem
-from nhaqo.linalg import biorthonormal_eigensystem
 from nhaqo.model import ising_anneal_spec, linear_schedule, total_hamiltonian, two_level_spec
 from nhaqo.reduction import (
     build_crossover_basis,

@@ -11,17 +11,21 @@ import numpy as np
 from nhaqo import adiabatic, cli
 from nhaqo.adiabatic import measured_matrix_element
 from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state
-from nhaqo.model import ising_anneal_spec
+from nhaqo.model import XorTerms, ising_anneal_spec
 from nhaqo.spectrum import trace_gap
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    module_spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    module_spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    tracer = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(tracer)
-    return tracer
+    return load_perfbench("tracer")
 
 
 def test_every_traced_name_resolves():
@@ -53,7 +57,7 @@ def test_evolve_calls_schedule_f0_once_per_stage():
         return f0(s)
 
     counted = dataclasses.replace(spec, schedule=dataclasses.replace(spec.schedule, f0=counted_f0))
-    res = evolve(counted, initial, driver_shift=decaying_driver_shift(spec.h1))
+    res = evolve(counted, initial, driver_shift=decaying_driver_shift(spec.driver))
     assert calls % 12 == 0
     assert calls >= 12 * res.steps_taken
 
@@ -89,3 +93,31 @@ def test_fig1_scans_each_curve_once(monkeypatch, tmp_path):
     argv = ["fig1", "--set", "delta0_list=0.5", "--set", "grid_points=201", "--out", str(tmp_path / "f.csv")]
     assert cli.main(argv) == 0
     assert 201 < len(calls) < 402
+
+
+def test_ising_evolve_sweep_makes_no_eigensolve_and_no_dense_matrix(monkeypatch, call_log, tmp_path):
+    # the benchmark's n=8 decaying sweep (explicit fields and couplings) runs on
+    # the stored XOR-diagonals and the driver's closed forms alone; a CallLog
+    # counts the calls of the sweep's forked child too
+    ops = load_perfbench("workloads").build_ops("anneal-dynamics", 1, str(tmp_path))
+    (sweep,) = [op for op in ops if op["name"] == "evolve-n8-decaying"]
+    solves = call_log()
+    for name in ("eigh", "eigvalsh", "eig"):
+        counting(monkeypatch, np.linalg, name, solves)
+    views = call_log()
+    dense = XorTerms.dense
+
+    def counted_dense(self):
+        views.append(float(self.masks.size))
+        return dense(self)
+
+    monkeypatch.setattr(XorTerms, "dense", counted_dense)
+    assert cli.main(sweep["argv"]) == 0
+    assert len(solves) == 0
+    assert len(views) == 0
+    # a spectral path builds each dense view once per spec: the problem's one
+    # mask and the driver's four, before the scan forks
+    argv = ["gap-trace", "--set", "model=ising", "--set", "n_qubits=4", "--set", "seed=3",
+            "--set", "delta0=0.5", "--set", "grid_points=101", "--out", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 0
+    assert sorted(views) == [1.0, 4.0]

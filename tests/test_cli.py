@@ -329,7 +329,7 @@ def test_evolve_csv(tmp_path):
     from nhaqo.model import ising_anneal_spec
 
     spec = ising_anneal_spec(2, seed=1, delta0=0.0)
-    sudden = success_probability(initial_ground_state(spec), spec.h0)
+    sudden = success_probability(initial_ground_state(spec), spec.problem)
     assert probs[0] == pytest.approx(sudden, abs=0.01)
 
 

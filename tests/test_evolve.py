@@ -14,15 +14,16 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import biorthonormal_eigensystem, build_ising, build_transverse, dense_spec
 from nhaqo.errors import AmbiguousGround, DegenerateTargetWarning, StepUnderflow
 from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state, success_probability
-from nhaqo.linalg import biorthonormal_eigensystem, lowest_pair_eigensystem
+from nhaqo.linalg import lowest_pair_eigensystem
 from nhaqo.model import (
-    AnnealSpec,
     PAULI_X,
     PAULI_Z,
+    AnnealSpec,
     Schedule,
-    build_transverse,
+    XorTerms,
     ising_anneal_spec,
     linear_schedule,
     make_anneal_spec,
@@ -42,7 +43,7 @@ def frozen_spec(m, tau):
     hermitian_part = 0.5 * (m + m.conj().T)
     decay_part = 0.5j * (m - m.conj().T)
     n = int(np.log2(m.shape[0]))
-    return AnnealSpec(hermitian_part, decay_part, FROZEN, float(tau), n)
+    return dense_spec(hermitian_part, decay_part, FROZEN, tau, n)
 
 
 def rk4_fixed(spec, psi0, steps, adjoint=False):
@@ -133,7 +134,7 @@ def test_hermitian_norm_conservation():
 
 def test_norm_monotone_with_decaying_driver():
     spec = ising_anneal_spec(2, seed=3, delta0=0.8, tau=4.0)
-    res = evolve(spec, initial_ground_state(spec), driver_shift=decaying_driver_shift(spec.h1))
+    res = evolve(spec, initial_ground_state(spec), driver_shift=decaying_driver_shift(spec.driver))
     norms = [nrm for _, nrm in res.norm_history]
     for a, b in zip(norms[:-1], norms[1:]):
         assert b <= a + 1e-10
@@ -152,7 +153,7 @@ def test_adjoint_pairing_is_conserved():
         left_row = es.left_vectors[0]
         chi0 = left_row.conj()
         scale = np.linalg.norm(chi0)
-        shift = decaying_driver_shift(spec.h1) if decaying else 0.0
+        shift = decaying_driver_shift(spec.driver) if decaying else 0.0
         fwd = evolve(spec, psi0, samples=51, driver_shift=shift)
         adj = evolve(spec, chi0 / scale, adjoint=True, samples=51, driver_shift=shift)
         start = left_row @ psi0
@@ -188,26 +189,31 @@ def test_step_underflow_on_impossible_tolerance():
         evolve(spec, initial_ground_state(spec), tol=1e-300)
 
 
+def diagonal_target(values):
+    """A diagonal target Hamiltonian: a mask-0 term alone."""
+    return XorTerms(np.zeros(1, dtype=int), np.array([values], dtype=complex))
+
+
 def test_success_probability_perfect_overlap():
-    h0 = np.diag([-1.0, 0.5, 2.0]).astype(complex)
+    h0 = diagonal_target([-1.0, 0.5, 2.0])
     psi = np.array([1.0, 0.0, 0.0])
     assert success_probability(psi, h0) == pytest.approx(1.0)
 
 
 def test_success_probability_orthogonal_state():
-    h0 = np.diag([-1.0, 0.5, 2.0]).astype(complex)
+    h0 = diagonal_target([-1.0, 0.5, 2.0])
     psi = np.array([0.0, 1.0, 0.0])
     assert success_probability(psi, h0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_success_probability_scale_invariance():
-    h0 = np.diag([-1.0, 0.5]).astype(complex)
+    h0 = diagonal_target([-1.0, 0.5])
     psi = (0.3 - 0.7j) * np.array([0.6, 0.8])
     assert success_probability(psi, h0) == pytest.approx(0.36)
 
 
 def test_success_probability_degenerate_target_warns():
-    h0 = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)  # twofold ground space
+    h0 = diagonal_target([1.0, -1.0, -1.0, 1.0])  # twofold ground space
     psi = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.warns(DegenerateTargetWarning):
         p = success_probability(psi, h0)
@@ -216,7 +222,7 @@ def test_success_probability_degenerate_target_warns():
 
 def eigh_success_probability(psi, h0):
     """Reference: overlap with the ground space from a dense eigensolve."""
-    vals, vecs = np.linalg.eigh(h0)
+    vals, vecs = np.linalg.eigh(h0.dense())
     ground = vecs[:, vals - vals[0] <= 1e-10]
     return float(np.sum(np.abs(ground.conj().T @ psi) ** 2) / np.vdot(psi, psi).real)
 
@@ -224,13 +230,14 @@ def eigh_success_probability(psi, h0):
 def test_success_probability_on_diagonal_target_matches_eigensolve():
     rng = np.random.default_rng(5)
     targets = [
-        np.diag(rng.normal(size=16)).astype(complex),
-        np.diag([0.3, -1.2, 0.8, -1.2 + 5e-11, 2.0, -1.2, 0.1, 0.0]).astype(complex),
-        ising_anneal_spec(5, seed=4).h0,
+        diagonal_target(rng.normal(size=16)),
+        diagonal_target([0.3, -1.2, 0.8, -1.2 + 5e-11, 2.0, -1.2, 0.1, 0.0]),
+        ising_anneal_spec(5, seed=4).problem,
     ]
     for h0 in targets:
-        psi = 0.3 * random_unit(rng, h0.shape[0])
-        degenerate = np.count_nonzero(h0.diagonal().real - h0.diagonal().real.min() <= 1e-10) > 1
+        diag = h0.diagonals[0].real
+        psi = 0.3 * random_unit(rng, diag.size)
+        degenerate = np.count_nonzero(diag - diag.min() <= 1e-10) > 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             p = success_probability(psi, h0)
@@ -272,7 +279,7 @@ def test_xor_terms_apply_the_generator(case, s, h, shift, adjoint, seed):
     # forward: -i h H(s) v minus the decay shift h f2(s) shift v; the adjoint
     # generator takes the conjugate transpose, which flips the shift's sign
     spec = APPLY_CASES[case]()
-    v = random_unit(np.random.default_rng(seed), spec.h0.shape[0])
+    v = random_unit(np.random.default_rng(seed), spec.problem.diagonals.shape[1])
     ham = total_hamiltonian(spec, s)
     sign = -1.0
     if adjoint:
@@ -287,10 +294,13 @@ def test_xor_terms_apply_the_generator(case, s, h, shift, adjoint, seed):
 
 
 def test_xor_terms_keep_only_the_masks_in_use():
-    # an Ising problem is mask 0 alone, the transverse driver its n bit flips
-    idx, terms = evolve_module._xor_terms(ising_anneal_spec(4, seed=1), False, 0.0)
+    # an Ising problem is mask 0 alone, the transverse driver its n bit flips;
+    # both are read from the stored terms, with no dense matrix built
+    spec = ising_anneal_spec(4, seed=1)
+    idx, terms = evolve_module._xor_terms(spec, False, 0.0)
     assert idx.shape == (5, 16) and terms.shape == (3, 5 * 16)
     assert idx[:, 0].tolist() == [0, 1, 2, 4, 8]
+    assert "h0" not in vars(spec) and "h1" not in vars(spec)
 
 
 def test_initial_ground_state_transverse_driver():
@@ -317,8 +327,6 @@ def test_initial_ground_state_with_problem_admixture():
         f2=lambda s: 0.0,
     )
     fields, couplings = [0.3, -0.6], [(0, 1, 0.8)]
-    from nhaqo.model import build_ising
-
     h0 = build_ising(2, fields, couplings)
     spec = make_anneal_spec(h0, build_transverse(2), sched, 1.0, 2)
     v = initial_ground_state(spec)
@@ -339,7 +347,7 @@ def test_driver_ground_state_matches_the_lowest_pair_at_s0(seed, dim, delta):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h1 = (m + m.conj().T) / 2
     h0 = np.diag(rng.normal(size=dim)).astype(complex)
-    spec = AnnealSpec(h0, h1, linear_schedule(delta), 1.0, int(np.log2(dim)))
+    spec = dense_spec(h0, h1, linear_schedule(delta), 1.0, int(np.log2(dim)))
     vals = np.linalg.eigvalsh(h1)
     if vals[1] - vals[0] <= 1e-10:
         with pytest.raises(AmbiguousGround):
@@ -349,6 +357,39 @@ def test_driver_ground_state_matches_the_lowest_pair_at_s0(seed, dim, delta):
     ref = lowest_pair_eigensystem(total_hamiltonian(spec, 0.0)).right_vectors[:, 0]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(ref, v)) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.floats(0.0, 2.0),
+    zero_bit=st.booleans(),
+)
+@example(n=1, seed=1, delta=0.0, zero_bit=False)
+@example(n=3, seed=2, delta=0.5, zero_bit=False)
+@example(n=4, seed=3, delta=1.5, zero_bit=True)
+def test_closed_form_driver_matches_eigh(n, seed, delta, zero_bit):
+    # a driver -sum_b w_b X_b of single-bit flips with weights of either sign:
+    # the closed-form ground state and shift against the dense eigensolvers
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    bits = np.arange(n)
+    if zero_bit:
+        bits = bits[1:]  # an absent bit: a degenerate ground pair
+    driver = XorTerms(1 << bits, np.repeat(-w[bits, None], 2**n, axis=1).astype(complex))
+    problem = XorTerms(np.zeros(1, dtype=int), rng.normal(size=(1, 2**n)).astype(complex))
+    spec = AnnealSpec(problem, driver, linear_schedule(delta), 1.0, n)
+    vals, vecs = np.linalg.eigh(driver.dense())
+    assert decaying_driver_shift(driver) == pytest.approx(-vals[0], rel=1e-13)
+    if zero_bit:
+        with pytest.raises(AmbiguousGround):
+            initial_ground_state(spec)
+        return
+    v = initial_ground_state(spec)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.vdot(vecs[:, 0], v)) == pytest.approx(1.0, abs=1e-12)
+    assert v[np.argmax(np.abs(v))].real > 0 and v[np.argmax(np.abs(v))].imag == 0.0
 
 
 def test_initial_ground_state_makes_no_nonhermitian_eigensolve(monkeypatch):
@@ -369,8 +410,9 @@ def test_initial_ground_state_makes_no_nonhermitian_eigensolve(monkeypatch):
 
 def test_decaying_driver_shift():
     # the transverse driver's lowest level is -n; a positive semi-definite driver needs no shift
-    assert decaying_driver_shift(build_transverse(3)) == pytest.approx(3.0, abs=1e-12)
-    assert decaying_driver_shift(np.diag([0.0, 1.0, 2.0])) == 0.0
+    assert decaying_driver_shift(XorTerms.from_dense(build_transverse(3))) == pytest.approx(3.0, abs=1e-12)
+    assert decaying_driver_shift(ising_anneal_spec(3, seed=1, j_star=0.5).driver) == 1.5
+    assert decaying_driver_shift(diagonal_target([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_initial_ground_state_ambiguous():
@@ -378,7 +420,7 @@ def test_initial_ground_state_ambiguous():
     h0 = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     h1 = np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex) + 0.0 * build_transverse(2)
     h1[0, 1] = h1[1, 0] = 0.3  # keep [h0, h1] nonzero
-    spec = AnnealSpec(h0, h1, linear_schedule(0.0), 1.0, 2)
+    spec = dense_spec(h0, h1, linear_schedule(0.0), 1.0, 2)
     with pytest.raises(AmbiguousGround):
         initial_ground_state(spec)
 
@@ -423,8 +465,8 @@ def test_decaying_n8_anneal_matches_scipy():
 
     sol = integrate.solve_ivp(rhs, (0.0, spec.tau), v0, method="DOP853", rtol=1e-12, atol=1e-14)
     ref = sol.y[:, -1]
-    res = evolve(spec, v0, samples=2, driver_shift=decaying_driver_shift(spec.h1))
-    assert res.success_probability == pytest.approx(success_probability(ref, spec.h0), rel=1e-8)
+    res = evolve(spec, v0, samples=2, driver_shift=decaying_driver_shift(spec.driver))
+    assert res.success_probability == pytest.approx(success_probability(ref, spec.problem), rel=1e-8)
     assert res.norm_history[-1][1] == pytest.approx(np.linalg.norm(ref), rel=1e-8)
 
 
@@ -454,6 +496,28 @@ def test_cli_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_evolve_n10_peak_memory(tmp_path):
+    # n = 10 (dim 1024) runs on the stored terms: the dense driver and its
+    # eigensolve took peak memory to 141 MB
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status (Linux)")
+    src = Path(evolve_module.__file__).resolve().parents[1]
+    code = (
+        "import sys, nhaqo.cli; rc = nhaqo.cli.main(sys.argv[1:]); "
+        "print(rc, *[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')])"
+    )
+    sets = ["model=ising", "n_qubits=10", "seed=1", "delta0=0.5", "decaying_driver=true", "tau=10"]
+    argv = [arg for item in sets for arg in ("--set", item)] + ["--out", str(tmp_path / "e.csv")]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, "evolve", *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    rc, hwm_kb = out.stdout.splitlines()[-1].split()  # after the CLI's output path
+    assert rc == "0"
+    assert int(hwm_kb) < 80 * 1024
 
 
 def test_success_probability_monotone_trend_in_tau():

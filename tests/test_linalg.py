@@ -8,15 +8,13 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import biorthonormal_eigensystem, hermitian_defect, is_hermitian
 from nhaqo.errors import DefectiveSystem
 from nhaqo.linalg import (
     EigenSystem,
     _fix_column_phases,
-    biorthonormal_eigensystem,
     biorthonormalize,
     eig_nonhermitian,
-    hermitian_defect,
-    is_hermitian,
     lowest_pair_eigensystem,
     maxnorm,
 )

@@ -1,15 +1,20 @@
 """Hamiltonian builders, schedules, total-Hamiltonian assembly and spec validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _reference import build_ising, build_transverse, hermitian_defect, is_hermitian
 from nhaqo.errors import DuplicateCoupling
-from nhaqo.linalg import is_hermitian
+from nhaqo.linalg import maxnorm
 from nhaqo.model import (
     PAULI_X,
     PAULI_Z,
-    build_ising,
-    build_transverse,
+    XorTerms,
+    commutator_maxnorm,
     ising_anneal_spec,
     linear_schedule,
     make_anneal_spec,
@@ -106,6 +111,8 @@ def test_build_ising_ground_state_matches_bruteforce():
 def test_build_ising_duplicate_coupling():
     with pytest.raises(DuplicateCoupling):
         build_ising(3, [0.0] * 3, [(0, 1, 0.5), (0, 1, -0.5)])
+    with pytest.raises(DuplicateCoupling):
+        ising_anneal_spec(3, fields=[0.0] * 3, couplings=[(0, 1, 0.5), (0, 1, -0.5)])
 
 
 def test_build_ising_is_real_diagonal():
@@ -184,3 +191,80 @@ def test_two_level_spec_energy_scales():
     # problem term carries magnitude J*, driver too
     assert np.linalg.norm(spec.h0, 2) == pytest.approx(2.0)
     assert np.linalg.norm(spec.h1, 2) == pytest.approx(2.0)
+
+
+def random_dense_pair(kind, n, rng):
+    """A dense (h0, h1) pair of dimension 2^n: Hermitian, with a non-Hermitian h0, or commuting."""
+    dim = 2**n
+
+    def hermitian():
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = (m + m.conj().T) / 2
+        rows = np.arange(dim)
+        for k in np.flatnonzero(rng.random(dim) < 0.4):  # empty XOR-diagonals drop out of the terms
+            m[rows, rows ^ k] = 0.0
+        return m
+
+    if kind == "pauli-z":
+        return PAULI_Z, 2.0 * PAULI_Z
+    a = hermitian()
+    if kind == "nonhermitian":
+        return a + 0.5j * np.triu(np.ones((dim, dim)), 1), hermitian()
+    if kind == "commuting":
+        return a, a @ a - 0.5 * a
+    return a, hermitian()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["hermitian", "nonhermitian", "commuting", "pauli-z"]),
+    j_star=st.floats(0.125, 4.0),
+)
+@example(n=1, seed=0, kind="pauli-z", j_star=1.0)
+@example(n=2, seed=3, kind="nonhermitian", j_star=1.0)
+@example(n=3, seed=5, kind="commuting", j_star=0.5)
+@example(n=3, seed=7, kind="hermitian", j_star=2.0)
+def test_term_checks_and_dense_views_match_dense_algebra(n, seed, kind, j_star):
+    rng = np.random.default_rng(seed)
+    # the Ising builder's views are the dense builders' matrices, bit for bit
+    fields = rng.uniform(-1.0, 1.0, size=n).tolist()
+    couplings = [(i, j, float(rng.uniform(-1.0, 1.0))) for i in range(n) for j in range(i + 1, n)]
+    spec = ising_anneal_spec(n, fields=fields, couplings=couplings, j_star=j_star)
+    assert spec.h0.tobytes() == build_ising(n, fields, couplings).tobytes()
+    assert spec.h1.tobytes() == (j_star * build_transverse(n)).tobytes()
+    # term-level maxnorm, Hermiticity and commutator against the dense computations
+    a, b = (np.asarray(m, dtype=complex) for m in random_dense_pair(kind, n, rng))
+    ta, tb = XorTerms.from_dense(a), XorTerms.from_dense(b)
+    for m, t in ((a, ta), (b, tb)):
+        assert np.array_equal(t.dense(), m)
+        assert t.masks.tolist() == sorted({r ^ c for r, c in zip(*np.nonzero(m))})
+        assert t.maxnorm() == maxnorm(m)
+        assert maxnorm(t.diagonals - t.adjoint()) == hermitian_defect(m)
+        assert t.is_hermitian() == is_hermitian(m)
+    comm = commutator_maxnorm(ta, tb)
+    assert comm == pytest.approx(maxnorm(a @ b - b @ a), abs=1e-13 * a.shape[0] * maxnorm(a) * maxnorm(b))
+    if kind in ("commuting", "pauli-z"):
+        assert comm <= 1e-12 * maxnorm(a) * maxnorm(b)
+    if kind == "pauli-z":
+        assert comm == 0.0
+    # make_anneal_spec's verdict is the dense checks' verdict
+    n_spec = int(np.log2(a.shape[0]))
+    if not (is_hermitian(a) and is_hermitian(b)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            make_anneal_spec(a, b, linear_schedule(0.0), 1.0, n_spec)
+    elif maxnorm(a @ b - b @ a) <= 1e-9 * maxnorm(a) * maxnorm(b):
+        with pytest.raises(ValueError, match="commute"):
+            make_anneal_spec(a, b, linear_schedule(0.0), 1.0, n_spec)
+    else:
+        made = make_anneal_spec(a, b, linear_schedule(0.0), 1.0, n_spec)
+        assert np.array_equal(made.h0, a) and np.array_equal(made.h1, b)
+
+
+def test_dense_views_are_cached_per_instance():
+    spec = ising_anneal_spec(3, seed=1)
+    assert "h0" not in vars(spec) and "h1" not in vars(spec)
+    assert spec.h0 is spec.h0 and spec.h1 is spec.h1
+    # replace() makes a new instance from the fields alone: no cached view
+    assert "h0" not in vars(dataclasses.replace(spec, tau=2.0))

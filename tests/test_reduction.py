@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from _reference import dense_spec
 from nhaqo.errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
 from nhaqo.model import (
     PAULI_X,
@@ -96,27 +97,17 @@ def test_decompose_orthogonal_axes():
 
 
 def test_decompose_antialigned_axes_give_zero_angle():
-    from nhaqo.model import AnnealSpec
-
     # exactly anti-aligned driver comes out at alpha = 0 under the sign
     # convention (raw construction: the pair commutes, so no validation)
-    spec = AnnealSpec(PAULI_Z, -PAULI_Z, linear_schedule(0.0), 1.0, 1)
+    spec = dense_spec(PAULI_Z, -PAULI_Z, linear_schedule(0.0), 1.0, 1)
     params = decompose_schedule_params(spec, STD_BASIS)
     assert params.cos_alpha == pytest.approx(1.0, abs=1e-15)
     assert params.alpha == pytest.approx(0.0, abs=1e-7)
 
 
 def test_decompose_zero_bloch_vector():
-    from nhaqo.model import AnnealSpec
-
     # scalar driver has no traceless part; the mixing angle is undefined
-    spec = AnnealSpec(
-        h0=PAULI_Z,
-        h1=np.eye(2, dtype=complex),
-        schedule=linear_schedule(0.0),
-        tau=1.0,
-        n_qubits=1,
-    )
+    spec = dense_spec(PAULI_Z, np.eye(2, dtype=complex), linear_schedule(0.0), 1.0, 1)
     with pytest.raises(ZeroBlochVector):
         decompose_schedule_params(spec, STD_BASIS)
 

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nhaqo._minimize
+from _reference import dense_spec
 import nhaqo.spectrum
 from nhaqo._minimize import brent, local_minima_indices, uniform_grid
 from nhaqo.cli import build_config, fmt, run_gap_trace
 from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
 from nhaqo.linalg import eig_nonhermitian, maxnorm
 from nhaqo.model import (
-    AnnealSpec,
     PAULI_X,
     PAULI_Z,
     ising_anneal_spec,
@@ -129,7 +129,7 @@ def test_crossover_warns_on_tied_minima():
         f1=lambda s: 0.5 + 0.4 * np.cos(2 * np.pi * s),
         f2=lambda s: 0.0,
     )
-    spec = AnnealSpec(h0, h1, sched, 1.0, 1)
+    spec = dense_spec(h0, h1, sched, 1.0, 1)
     with pytest.warns(MultipleMinimaWarning):
         trace_gap(spec, 201)
 
@@ -145,7 +145,7 @@ def test_rotation_schedule_has_constant_gap():
         f1=lambda s: float(np.cos(omega * s)),
         f2=lambda s: 0.0,
     )
-    spec = AnnealSpec(PAULI_Z, PAULI_X, sched, 1.0, 1)
+    spec = dense_spec(PAULI_Z, PAULI_X, sched, 1.0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)  # constant gap: every point ties
         trace = trace_gap(spec, 201)
@@ -194,7 +194,7 @@ def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     # where the (Re, Im) order of levels 2 and 3 jumps by 0.75
     h0 = np.diag([-3.0, -2.0, 1.0, 2.0]).astype(complex)
     h1 = np.diag([-3.0, -2.0, 3.0, 0.0]).astype(complex)
-    spec = AnnealSpec(h0, h1, linear_schedule(1.0), 1.0, 2)
+    spec = dense_spec(h0, h1, linear_schedule(1.0), 1.0, 2)
     grid = [float(s) for s in uniform_grid(101)]
     coarse = [instantaneous_spectrum(spec, s).eigenvalues for s in grid]
     # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step
