@@ -34,7 +34,7 @@ class StepUnderflow(NhaqoError):
 
 
 class NonFiniteState(NhaqoError):
-    """An evolved amplitude became NaN or Inf, or the state underflowed to zero."""
+    """An amplitude became NaN or Inf, or the norm outgrew the float range; a decayed state never underflows."""
 
 
 class AmbiguousGround(NhaqoError):

@@ -4,18 +4,18 @@ The explicit Dormand-Prince 8(5,3) pair (DOP853: 12 stages, an 8th-order
 solution, an error blended from 5th- and 3rd-order estimates) integrates
 i d|psi>/dt = H(t/tau)|psi>; it needs no matrix exponential per step, and
 both Hamiltonian terms act through their XOR-diagonals m[r, r ^ k], so no
-dense matrix-vector product is formed.  The per-component error is
-measured relative to the state's norm, so the accuracy of the unit state does
-not depend on how far the norm has decayed.  The adjoint mode evolves the
-left state under the conjugate-transposed generator so that the bi-orthogonal
-product <psi~|psi> is conserved.  The state is never renormalized during the
-run: norm decay is the physics of the decay term.  The decaying driver's
-shift depends on the driver alone: :func:`decaying_driver_shift` computes it
-once, and a sweep passes it to every :func:`evolve` call.  The integrator
-reads the spec's stored XOR-diagonal terms and never its dense matrices.
-Where the schedule starts on a driver of single-bit flips, as the transverse
-driver is, the initial ground state and the shift are closed forms, so an
-Ising anneal runs with no eigensolve; any other driver is diagonalized.
+dense matrix-vector product is formed.  Each accepted step adds log|psi| to
+a running log-norm and divides psi by |psi|: the norm decay of the decay term
+is kept exactly, a decayed state never underflows, and the step error is that
+of the unit state.  The adjoint mode evolves the left state under the
+conjugate-transposed generator so that the bi-orthogonal product <psi~|psi>
+is conserved.  The decaying driver's shift depends on the driver alone:
+:func:`decaying_driver_shift` computes it once, and a sweep passes it to
+every :func:`evolve` call.  The integrator reads the spec's stored
+XOR-diagonal terms and never its dense matrices.  Where the schedule starts
+on a driver of single-bit flips, as the transverse driver is, the initial
+ground state and the shift are closed forms, so an Ising anneal runs with no
+eigensolve.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from .errors import (
     NonFiniteState,
     StepUnderflow,
 )
-from .linalg import _fix_column_phases, lowest_pair_eigensystem
+from .linalg import lowest_pair_eigensystem
 from .model import AnnealSpec, XorTerms, total_hamiltonian
 
 DEFAULT_TOL = 1e-10
 MIN_STEP_FACTOR = 1e-12
 DEFAULT_SAMPLES = 201
+_MAX_LOG_NORM = math.log(np.finfo(float).max)
 
 # Dormand-Prince 8(5,3) tableau (DOP853; Prince & Dormand, J. Comput. Appl.
 # Math. 7, 67 (1981); Hairer, Norsett & Wanner, Solving ODEs I, section II.10):
@@ -95,13 +96,14 @@ _FINAL = np.array([[1.0, *_B], [0.0, *_E5], [0.0, *_E3]])
 
 @dataclass
 class EvolutionResult:
-    """Final state plus norm history, success probability and step statistics."""
+    """Final state (the unit state times exp(log_norm)), norm history, success probability and step statistics."""
 
     final_state: np.ndarray
     norm_history: list[tuple[float, float]]
     success_probability: float
     steps_taken: int
     max_local_error: float
+    log_norm: float
 
 
 def success_probability(result_state, target: XorTerms) -> float:
@@ -155,8 +157,8 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
     eigenvectors, with real parts f1 times its eigenvalues.  A driver
     -sum_k w_k X_k of single-bit flips (the transverse driver) has the closed
     form: |+> on each bit with w_k > 0 and |-> where w_k < 0, at -sum_k |w_k|.
-    Any other driver goes through ``np.linalg.eigh``, and any other schedule
-    through the lowest pair of H(0).  The largest entry is made real and positive.
+    Any other driver or schedule goes through the lowest pair of H(0), whose
+    largest entry is made real and positive.
 
     Raises
     ------
@@ -164,8 +166,7 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
         If the two lowest real parts coincide within 1e-10.
     """
     f1 = spec.schedule.f1(0.0)
-    on_driver = spec.schedule.f0(0.0) == 0.0 and f1 > 0.0
-    w = _flip_weights(spec.driver) if on_driver else None
+    w = _flip_weights(spec.driver) if spec.schedule.f0(0.0) == 0.0 and f1 > 0.0 else None
     if w is not None:
         rows = np.arange(spec.driver.diagonals.shape[1])
         # the next level flips the weakest bit; a bit without a flip leaves the pair degenerate
@@ -174,10 +175,6 @@ def initial_ground_state(spec: AnnealSpec) -> np.ndarray:
         v = np.ones(rows.size, dtype=complex)
         for mask in spec.driver.masks[w < 0]:
             v[rows & mask != 0] *= -1.0
-    elif on_driver:
-        vals, vecs = np.linalg.eigh(spec.h1)
-        lowest = vals[:2] * f1
-        v = _fix_column_phases(vecs[:, :1])[:, 0]
     else:
         es = lowest_pair_eigensystem(total_hamiltonian(spec, 0.0))
         lowest = es.eigenvalues.real
@@ -242,9 +239,10 @@ def evolve(
     StepUnderflow
         If the controller demands steps below tau times ``MIN_STEP_FACTOR``.
     NonFiniteState
-        If any amplitude becomes NaN or Inf, or the state underflows to zero.
+        If any amplitude becomes NaN or Inf, or the norm grows beyond the
+        float range; a decayed state never underflows.
     """
-    psi = np.asarray(initial, dtype=complex).copy()
+    psi = np.asarray(initial, dtype=complex)
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError("initial state must be unit-normalized")
@@ -263,7 +261,7 @@ def evolve(
     sample_times = np.arange(samples) / (samples - 1) * tau
     min_step = tau * MIN_STEP_FACTOR
     norms: list[tuple[float, float]] = [(0.0, nrm)]
-    t = 0.0
+    t = log_norm = 0.0
     h = tau / max(samples - 1, 100) / 10.0
     steps = 0
     max_err = 0.0
@@ -288,17 +286,18 @@ def evolve(
                 np.add.reduce(buf, axis=0, out=out)
             sol = (_FINAL @ hk_flat).view(complex)
             # Hairer's blend of the 5th- and 3rd-order estimates, max norm,
-            # relative to the state's norm: the error of the unit state
-            e5, e3 = (np.abs(sol[1:]).max(axis=1) / nrm).tolist()
+            # of the unit state
+            e5, e3 = np.abs(sol[1:]).max(axis=1).tolist()
             err = 0.0 if e5 == 0.0 else e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
             if err <= tol:
-                psi = sol[0]
                 t = t + h_try
                 steps += 1
                 max_err = max(max_err, err)
-                nrm = float(np.linalg.norm(psi))
-                if not (math.isfinite(nrm) and nrm > 0.0):
-                    raise NonFiniteState(f"non-finite or zero state at t={t:.6g}")
+                nrm = float(np.linalg.norm(sol[0]))
+                log_norm += math.log(nrm) if 0.0 < nrm < math.inf else math.nan  # NaN fails the bound
+                if not log_norm <= _MAX_LOG_NORM:
+                    raise NonFiniteState(f"non-finite state or norm beyond the float range at t={t:.6g}")
+                psi = sol[0] / nrm
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.125))
             if err > tol or not capped:
                 # a capped accepted step keeps the controller's natural size
@@ -309,12 +308,13 @@ def evolve(
                 )
             if t_target - t <= 1e-15 * tau:
                 t = t_target
-        norms.append((float(t_target / tau), nrm))
+        norms.append((float(t_target / tau), math.exp(log_norm)))
 
     return EvolutionResult(
-        final_state=psi,
+        final_state=psi * math.exp(log_norm),
         norm_history=norms,
         success_probability=success_probability(psi, spec.problem),
         steps_taken=steps,
         max_local_error=max_err,
+        log_norm=log_norm,
     )

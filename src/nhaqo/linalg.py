@@ -105,11 +105,11 @@ def _unit_inverse_rows(right: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
     norm is taken, so a nearly singular ``right`` (entries of the inverse up
     to ~1e292) does not overflow.  An exactly singular ``right`` has no dual
     rows: every pair gets overlap 0 and the conjugated right column in place
-    of its left row.  Fewer rows than all come from one solve with ``right``^T.
+    of its left row.  The rows come from one solve with ``right``^T.
     """
     dim = right.shape[0]
     try:
-        inv = np.linalg.inv(right) if count == dim else np.linalg.solve(right.T, np.eye(dim, count)).T
+        inv = np.linalg.solve(right.T, np.eye(dim, count)).T
     except np.linalg.LinAlgError:
         return right[:, :count].conj().T, np.zeros(count)
     peak = np.max(np.abs(inv), axis=1)

@@ -333,6 +333,18 @@ def test_evolve_csv(tmp_path):
     assert probs[0] == pytest.approx(sudden, abs=0.01)
 
 
+def test_evolve_row_survives_a_norm_below_the_float_range(tmp_path):
+    # at tau 5000 the decaying run's norm falls below the float range; the row
+    # still reads ok, with a probability from the unit state and final_norm 0
+    out = tmp_path / "evolve.csv"
+    sets = ["model=ising", "n_qubits=2", "seed=1", "delta0=2", "decaying_driver=true", "tau=5000"]
+    assert main(["evolve", *[a for kv in sets for a in ("--set", kv)], "--out", str(out)]) == 0
+    _, p, norm, steps, status = data_rows(read(str(out)))[1].split(",")
+    assert status == "ok"
+    assert 0.0 <= float(p) <= 1.0
+    assert float(norm) == 0.0 and int(steps) > 0
+
+
 def test_tau_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

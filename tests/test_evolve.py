@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import biorthonormal_eigensystem, build_ising, build_transverse, dense_spec
-from nhaqo.errors import AmbiguousGround, DegenerateTargetWarning, StepUnderflow
+from nhaqo.errors import AmbiguousGround, DegenerateTargetWarning, NonFiniteState, StepUnderflow
 from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state, success_probability
 from nhaqo.linalg import lowest_pair_eigensystem
 from nhaqo.model import (
@@ -114,16 +114,30 @@ def test_adiabatic_limit_reaches_target_ground():
 
 def test_accuracy_independent_of_norm_decay():
     # a uniform decay rate c scales the exact state by exp(-c t) and leaves
-    # its direction alone; the norm ends at exp(-200) ~ 1e-87, far below tol
+    # its direction alone; at c = 20 the norm ends at exp(-200) ~ 1e-87, far
+    # below tol, and at c = 80 at exp(-800), below the float range, where only
+    # the log-norm holds it and the final state and norm read 0.0
     rng = np.random.default_rng(31)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     herm = 0.5 * (a + a.conj().T)
-    spec = frozen_spec(herm - 20.0j * np.eye(4), tau=10.0)
     v0 = random_unit(rng, 4)
-    res = evolve(spec, v0)
-    ref = np.exp(-200.0) * (scipy.linalg.expm(-10.0j * herm) @ v0)
-    assert np.max(np.abs(res.final_state - ref)) / np.linalg.norm(ref) < 1e-8
-    assert res.norm_history[-1][1] == pytest.approx(np.exp(-200.0), rel=1e-8)
+    direction = scipy.linalg.expm(-10.0j * herm) @ v0
+    for rate in (20.0, 80.0):
+        spec = frozen_spec(herm - rate * 1j * np.eye(4), tau=10.0)
+        res = evolve(spec, v0)
+        scale = np.exp(-10.0 * rate)
+        assert res.log_norm == pytest.approx(-10.0 * rate, rel=1e-10)
+        assert res.success_probability == pytest.approx(success_probability(direction, spec.problem), rel=1e-8)
+        assert np.max(np.abs(res.final_state - scale * direction)) <= 1e-8 * scale
+        assert res.norm_history[-1][1] == pytest.approx(scale, rel=1e-8, abs=0.0)
+
+
+def test_norm_growth_beyond_float_range_raises():
+    # a decayed norm is carried as its logarithm, but a grown one must still
+    # fit a float: exp(+800) does not, so the final state cannot be formed
+    spec = frozen_spec(80.0j * np.eye(2), tau=10.0)
+    with pytest.raises(NonFiniteState, match="float range"):
+        evolve(spec, np.array([1.0, 0.0]))
 
 
 def test_hermitian_norm_conservation():
