@@ -14,11 +14,7 @@ from .adiabatic import (
     tau_window,
 )
 from .evolve import EvolutionResult, decaying_driver_shift, evolve, initial_ground_state, success_probability
-from .linalg import (
-    EigenSystem,
-    biorthonormalize,
-    eig_nonhermitian,
-)
+from .linalg import EigenSystem
 from .model import (
     AnnealSpec,
     Schedule,
@@ -64,12 +60,10 @@ __all__ = [
     "TwoLevelBasis",
     "TwoLevelParams",
     "XorTerms",
-    "biorthonormalize",
     "build_crossover_basis",
     "decaying_driver_shift",
     "decompose_schedule_params",
     "detect_exceptional_point",
-    "eig_nonhermitian",
     "evolve",
     "find_crossover",
     "gap_two_level",

@@ -366,7 +366,7 @@ def run_gap_trace(cfg: ExperimentConfig) -> str:
     columns = ["s", "re_e0", "im_e0", "re_e1", "im_e1", "gap"]
     rows = []
     for snap in trace.snapshots:
-        e0, e1 = snap.eigenvalues[0], snap.eigenvalues[1]
+        e0, e1 = snap.pair
         rows.append([fmt(snap.s), fmt(e0.real), fmt(e0.imag), fmt(e1.real), fmt(e1.imag), fmt(snap.gap)])
     footers = [f"# s_c={fmt(trace.s_c)}", f"# g_m={fmt(trace.g_m)}"]
     if ep is not None:

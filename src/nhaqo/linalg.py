@@ -10,8 +10,8 @@ flagged as coalesced, and the remaining ones can be rescaled into a
 bi-orthonormal system with ``left_vectors @ right_vectors`` equal to the
 identity.  :func:`lowest_pair_eigensystem` forms the left rows of the two
 lowest pairs alone, by one solve with R^T.  Where only eigenvalues are
-needed, as along a gap trace, :func:`sorted_eigenvalues` returns them in the
-same order without computing any eigenvector.
+needed, as for a gap trace's lowest pair, :func:`sorted_eigenvalues` returns
+them in the same order without computing any eigenvector.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ def _sorted_unit_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return vals, _fix_column_phases(right / np.linalg.norm(right, axis=0))
 
 
+# no library caller: kept for the benchmark's tracer (perfbench/tracer.py), which wraps it by name
 def eig_nonhermitian(m) -> EigenSystem:
     """Full eigendecomposition: eigenvalues with right and left eigenvectors.
 
@@ -165,6 +166,7 @@ def lowest_pair_eigensystem(m) -> EigenSystem:
     return EigenSystem(vals[:2], right[:, :2], left / np.where(flags, 1.0, raw)[:, None], flags)
 
 
+# no library caller: kept for the benchmark's tracer (perfbench/tracer.py), which wraps it by name
 def biorthonormalize(es: EigenSystem) -> EigenSystem:
     """Rescale left vectors so that ``<left_m|right_n> = delta_mn``.
 

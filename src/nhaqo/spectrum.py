@@ -3,8 +3,10 @@
 The "ground state" of a non-Hermitian snapshot is the eigenvalue with the
 smallest real part, which connects continuously to the Hermitian ordering at
 the endpoints.  The gap is the modulus of the complex difference between the
-two lowest eigenvalues.  Gap traces need eigenvalues only; eigenvectors are
-computed solely where an exceptional-point candidate is confirmed.
+two lowest eigenvalues, the pair (E_0, E_1) that a snapshot keeps.  The gap
+trace, its polish and the exceptional-point scan take eigenvalues only from
+:func:`_lowest_pair`; eigenvectors are computed solely where an
+exceptional-point candidate is confirmed.
 
 The uniform grid of a gap trace, and the exceptional-point scan when no
 trace is given, go through :func:`nhaqo._scan.split_scan`: where the
@@ -44,11 +46,14 @@ MAX_REFINE_ROUNDS = 4
 
 @dataclass(frozen=True)
 class SpectrumSnapshot:
-    """Sorted eigenvalues at one s, with the modulus gap of the lowest pair."""
+    """The lowest pair (E_0, E_1) at one s, and its modulus gap |E_1 - E_0|."""
 
     s: float
-    eigenvalues: np.ndarray
-    gap: float
+    pair: np.ndarray
+
+    @property
+    def gap(self) -> float:
+        return float(abs(self.pair[1] - self.pair[0]))
 
 
 @dataclass
@@ -62,29 +67,26 @@ class GapTrace:
     g_m: float = field(default=np.nan)
 
 
-def _lowest_pair(spec: AnnealSpec, s: float) -> tuple[np.ndarray, complex]:
-    """Sorted eigenvalues of the total Hamiltonian at s and the complex E_1 - E_0."""
+def _lowest_pair(spec: AnnealSpec, s: float) -> np.ndarray:
+    """(E_0, E_1): the two lowest-real-part eigenvalues of the total Hamiltonian at s, copied out of the spectrum."""
     try:
         vals = sorted_eigenvalues(total_hamiltonian(spec, s))
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"{exc} (at s={s:.9g})") from exc
     if vals.shape[0] < 2:
         raise ValueError("gap needs dimension >= 2")
-    return vals, vals[1] - vals[0]
+    return vals[:2].copy()
 
 
+# no library caller: kept for the benchmark's tracer (perfbench/tracer.py), which wraps it by name
 def gap_at(spec: AnnealSpec, s: float) -> float:
     """Modulus gap |E_1 - E_0| of the two lowest-real-part eigenvalues."""
-    return float(abs(_lowest_pair(spec, s)[1]))
-
-
-def _snapshot(s: float, vals: np.ndarray) -> SpectrumSnapshot:
-    return SpectrumSnapshot(float(s), vals, float(abs(vals[1] - vals[0])))
+    return SpectrumSnapshot(s, _lowest_pair(spec, s)).gap
 
 
 def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
-    """Sorted eigenvalues of the total Hamiltonian at s and the gap of the lowest pair."""
-    return _snapshot(s, _lowest_pair(spec, s)[0])
+    """The lowest pair of the total Hamiltonian at s and its gap."""
+    return SpectrumSnapshot(float(s), _lowest_pair(spec, s))
 
 
 def _lipschitz_bound(spec: AnnealSpec) -> float:
@@ -106,22 +108,22 @@ def trace_gap(spec: AnnealSpec, grid_points: int = DEFAULT_GRID_POINTS) -> GapTr
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = [float(s) for s in uniform_grid(grid_points)]
-    spectra = split_scan(lambda s: instantaneous_spectrum(spec, s).eigenvalues, grid, complex)
-    snaps = [_snapshot(s, vals) for s, vals in zip(grid, spectra)]
+    pairs = split_scan(lambda s: instantaneous_spectrum(spec, s).pair, grid, complex)
+    snaps = [SpectrumSnapshot(s, pair) for s, pair in zip(grid, pairs)]
     bound = _lipschitz_bound(spec)
     slack = 1e-12 * max(bound, 1.0)
     for _ in range(MAX_REFINE_ROUNDS):
         new_points: list[float] = []
         for a, b in zip(snaps[:-1], snaps[1:]):
             step = b.s - a.s
-            motion = float(np.max(np.abs(b.eigenvalues[:2] - a.eigenvalues[:2])))
+            motion = float(np.max(np.abs(b.pair - a.pair)))
             if motion > bound * step + slack:
                 new_points.append(0.5 * (a.s + b.s))
         if not new_points:
             break
         snaps.extend(instantaneous_spectrum(spec, s) for s in new_points)
         snaps.sort(key=lambda sn: sn.s)
-    diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in snaps]
+    diffs = [sn.pair[1] - sn.pair[0] for sn in snaps]
     trace = GapTrace(spec, snaps, _gap_minima(spec, [sn.s for sn in snaps], diffs))
     trace.s_c, trace.g_m = find_crossover(trace)
     return trace
@@ -178,7 +180,7 @@ def _polish_discriminant(
     samples = {xs[i]: diffs[i]}
 
     def sq(s: float) -> float:
-        samples[s] = _lowest_pair(spec, s)[1]
+        samples[s] = np.diff(_lowest_pair(spec, s))[0]
         return abs(samples[s] ** 2) ** 2
 
     if lo < hi:
@@ -224,7 +226,8 @@ def detect_exceptional_point(
         raise ValueError("grid_points must be >= 3")
     if trace is None:
         ss = [float(s) for s in uniform_grid(grid_points)]
-        cands = _gap_minima(spec, ss, list(split_scan(lambda s: _lowest_pair(spec, s)[1], ss, complex)))
+        pairs = split_scan(lambda s: _lowest_pair(spec, s), ss, complex)
+        cands = _gap_minima(spec, ss, list(pairs[:, 1] - pairs[:, 0]))
     elif trace.minima:
         cands = trace.minima
     else:

@@ -67,11 +67,11 @@ def scans():
     ep = detect_exceptional_point(SPEC6, 201)
     digest = hashlib.sha256()
     for sn in trace.snapshots:
-        digest.update(sn.eigenvalues.tobytes())
+        digest.update(sn.pair.tobytes())
     return {
         "s": [sn.s.hex() for sn in trace.snapshots],
         "gaps": [sn.gap.hex() for sn in trace.snapshots],
-        "eigenvalues": digest.hexdigest(),
+        "pairs": digest.hexdigest(),
         "crossover": [trace.s_c.hex(), trace.g_m.hex()],
         "ep": None if ep is None else [ep.s.hex(), ep.gap.hex(), ep.overlap.hex()],
         "element": measured_matrix_element(SPEC5, 201).hex(),

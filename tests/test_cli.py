@@ -168,7 +168,7 @@ def test_fig1_minima_match_two_by_two_eigensolve_at_n60(tmp_path):
         g_ref = min(gaps[i], ref.fun)
         assert abs(gap_min - g_ref) <= 1e-9 * g_ref
     assert minima[0.0][0] == 0.5
-    assert minima[0.0][1] == pytest.approx(2.0**-30, rel=1e-9)
+    assert minima[0.0][1] == pytest.approx(2.0**-30, rel=1e-9, abs=0.0)
 
 
 def test_gap_trace_csv(tmp_path):

@@ -13,7 +13,7 @@ import nhaqo.spectrum
 from nhaqo._minimize import brent, local_minima_indices, uniform_grid
 from nhaqo.cli import build_config, fmt, run_gap_trace
 from nhaqo.errors import ConvergenceFailure, MultipleMinimaWarning
-from nhaqo.linalg import eig_nonhermitian, maxnorm
+from nhaqo.linalg import eig_nonhermitian, maxnorm, sorted_eigenvalues
 from nhaqo.model import (
     PAULI_X,
     PAULI_Z,
@@ -48,7 +48,9 @@ def test_snapshot_diagonal_endpoint():
     spec = make_anneal_spec(h0, -np.kron(PAULI_X, np.eye(2)) - np.kron(np.eye(2), PAULI_X),
                             linear_schedule(0.0), 1.0, 2)
     snap = instantaneous_spectrum(spec, 1.0)
-    assert np.allclose(snap.eigenvalues, [-1.0, 0.0, 1.0, 2.0], atol=1e-12)
+    vals = sorted_eigenvalues(total_hamiltonian(spec, 1.0))
+    assert np.allclose(vals, [-1.0, 0.0, 1.0, 2.0], atol=1e-12)
+    assert np.array_equal(snap.pair, vals[:2])
     assert snap.gap == pytest.approx(1.0)
     assert not eig_nonhermitian(total_hamiltonian(spec, 1.0)).defect_flags[:2].any()
 
@@ -67,7 +69,8 @@ def test_snapshot_matches_dense_oracle():
     # independent assembly and dense diagonalization
     h = spec.schedule.f0(s) * spec.h0 + spec.schedule.f1(s) * spec.h1
     ref = np.sort(np.linalg.eigvalsh(h))
-    assert np.allclose(np.sort(snap.eigenvalues.real), ref, atol=1e-10)
+    assert np.allclose(np.sort(sorted_eigenvalues(total_hamiltonian(spec, s)).real), ref, atol=1e-10)
+    assert np.allclose(snap.pair.real, ref[:2], atol=1e-10)
     assert snap.gap == pytest.approx(ref[1] - ref[0], abs=1e-10)
 
 
@@ -76,7 +79,7 @@ def test_hermitian_trace_has_real_eigenvalues():
     trace = trace_gap(spec, 101)
     scale = maxnorm(spec.h0) + maxnorm(spec.h1)
     for snap in trace.snapshots:
-        assert np.max(np.abs(snap.eigenvalues.imag)) <= 1e-10 * scale
+        assert np.max(np.abs(snap.pair.imag)) <= 1e-10 * scale
 
 
 def test_trace_min_gap_matches_closed_form():
@@ -196,7 +199,7 @@ def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     h1 = np.diag([-3.0, -2.0, 3.0, 0.0]).astype(complex)
     spec = dense_spec(h0, h1, linear_schedule(1.0), 1.0, 2)
     grid = [float(s) for s in uniform_grid(101)]
-    coarse = [instantaneous_spectrum(spec, s).eigenvalues for s in grid]
+    coarse = [sorted_eigenvalues(total_hamiltonian(spec, s)) for s in grid]
     # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step
     bound_step = (3.0 + 3.0 * (1.0 + 1.0)) / 100
     jumps = [float(np.max(np.abs(b[2:] - a[2:]))) for a, b in zip(coarse[:-1], coarse[1:])]
@@ -266,6 +269,40 @@ def _gap_trace_footers(tmp_path, *overrides: str) -> dict[str, str]:
     with open(run_gap_trace(cfg), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     return {ln[2:].split("=", 1)[0].split(" ", 1)[0]: ln for ln in lines if ln.startswith("# ")}
+
+
+def test_every_eigenvalue_comes_through_the_lowest_pair_and_snapshots_keep_only_it(monkeypatch, call_log):
+    # the gap trace's scan and refinement, its polish and the EP scan take
+    # eigenvalues only from _lowest_pair, and each snapshot keeps the pair
+    # alone, pinning no 2^n buffer.  CallLogs count a forked scan child's
+    # eigensolves too
+    spec = ising_anneal_spec(6, seed=1, delta0=0.5)
+    through, outside = call_log(), call_log()
+    inside = []
+    lowest_pair, eigvals = nhaqo.spectrum._lowest_pair, np.linalg.eigvals
+
+    def seam(spec, s):
+        inside.append(s)
+        try:
+            return lowest_pair(spec, s)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(nhaqo.spectrum, "_lowest_pair", seam)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: (through if inside else outside).append() or eigvals(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        trace = trace_gap(spec, 201)
+    assert detect_exceptional_point(spec, 201, trace=trace) is None
+    assert detect_exceptional_point(spec, 201) is None
+    monkeypatch.undo()
+    assert len(outside) == 0
+    # 205 trace samples and 201 EP-scan samples, each polish on top
+    assert len(through) > 205 + 201
+    for sn in trace.snapshots:
+        assert sn.pair.shape == (2,)
+        assert sn.pair.base is None or sn.pair.base.shape[-1] == 2
+        assert sn.pair.tobytes() == sorted_eigenvalues(total_hamiltonian(spec, sn.s))[:2].tobytes()
 
 
 def test_gap_trace_polishes_each_minimum_once_on_the_discriminant(monkeypatch, call_log, tmp_path):
@@ -405,7 +442,7 @@ def test_crossover_polish_takes_at_most_32_gap_evaluations(monkeypatch):
         warnings.simplefilter("ignore", MultipleMinimaWarning)
         trace = trace_gap(spec, 201)
     ss = [sn.s for sn in trace.snapshots]
-    diffs = [sn.eigenvalues[1] - sn.eigenvalues[0] for sn in trace.snapshots]
+    diffs = [sn.pair[1] - sn.pair[0] for sn in trace.snapshots]
     calls = []
     monkeypatch.setattr(nhaqo.spectrum, "_lowest_pair", lambda spec, s, _f=_lowest_pair: calls.append(s) or _f(spec, s))
     # the trace's polish, repeated on its samples: each evaluation is one eigensolve
@@ -446,7 +483,7 @@ def _golden_reference(f, xs, values, i: int) -> tuple[float, float]:
 
 def _discriminant_jumps(spec, s: float, scale: float) -> bool:
     """True where (E_1 - E_0)^2 is discontinuous: the (Re, Im) order swaps level 1 with level 2."""
-    q_left, q_right = (_lowest_pair(spec, s + h)[1] ** 2 for h in (-1e-12, 1e-12))
+    q_left, q_right = (np.diff(_lowest_pair(spec, s + h))[0] ** 2 for h in (-1e-12, 1e-12))
     return abs(q_left - q_right) > 1e-6 * scale**2
 
 
@@ -462,7 +499,7 @@ def _discriminant_jumps(spec, s: float, scale: float) -> bool:
 @example(spec=ising_anneal_spec(6, seed=9973, delta0=0.5), grid=201)
 def test_discriminant_polish_agrees_with_golden_section(spec, grid):
     ss = [float(s) for s in uniform_grid(grid)]
-    diffs = [_lowest_pair(spec, s)[1] for s in ss]
+    diffs = [np.diff(_lowest_pair(spec, s))[0] for s in ss]
     gaps = [float(abs(d)) for d in diffs]
     scale = maxnorm(spec.h0) + maxnorm(spec.h1)
     gap_tol = EP_GAP_FACTOR * scale
