@@ -13,7 +13,7 @@ from .adiabatic import (
     min_time_nonhermitian,
     tau_window,
 )
-from .evolve import EvolutionResult, decaying_driver_shift, evolve, initial_ground_state, success_probability
+from .evolve import EvolutionResult, evolve, initial_ground_state, success_probability
 from .linalg import EigenSystem
 from .model import (
     AnnealSpec,
@@ -61,7 +61,6 @@ __all__ = [
     "TwoLevelParams",
     "XorTerms",
     "build_crossover_basis",
-    "decaying_driver_shift",
     "decompose_schedule_params",
     "detect_exceptional_point",
     "evolve",

@@ -47,7 +47,7 @@ from ._minimize import polished_minima, uniform_grid
 from .adiabatic import min_time_linear_ramp
 from ._scan import split_scan
 from .errors import ConfigError, MultipleMinimaWarning, NhaqoError, NonFiniteState, StepUnderflow
-from .evolve import decaying_driver_shift, evolve, initial_ground_state
+from .evolve import evolve, initial_ground_state
 from .linalg import DEFECT_TOLERANCE
 from .model import AnnealSpec, ising_anneal_spec, linear_schedule, two_level_spec
 from .reduction import TwoLevelParams, nonhermitian_min_gap, two_level_gap
@@ -362,7 +362,7 @@ def run_gap_trace(cfg: ExperimentConfig) -> str:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MultipleMinimaWarning)
         trace = trace_gap(spec, cfg.grid_points)
-    ep = detect_exceptional_point(spec, cfg.grid_points, trace=trace)
+    ep = detect_exceptional_point(trace)
     columns = ["s", "re_e0", "im_e0", "re_e1", "im_e1", "gap"]
     rows = []
     for snap in trace.snapshots:
@@ -385,17 +385,16 @@ _EVOLVE_ERRORS = (StepUnderflow, NonFiniteState)
 def run_evolve(cfg: ExperimentConfig) -> str:
     """Success probability, final norm and step count per tau.
 
-    The initial state and the decaying driver's shift are computed once for
-    the sweep.  The taus run in ascending order through ``split_scan`` with
-    a cost of tau each, so one forked child may take the longest ones; the
-    rows keep the order of the config.  Integration failures
-    (``_EVOLVE_ERRORS``) are reported per row and do not abort the sweep.
+    The initial state is computed once for the sweep.  The taus run in
+    ascending order through ``split_scan`` with a cost of tau each, so one
+    forked child may take the longest ones; the rows keep the order of the
+    config.  Integration failures (``_EVOLVE_ERRORS``) are reported per row
+    and do not abort the sweep.
     """
     taus = cfg.tau_list if cfg.tau_list else (cfg.tau,)
     assert taus and taus[0] is not None
     spec = _build_spec(cfg)
     initial = initial_ground_state(spec)
-    shift = decaying_driver_shift(spec.driver) if cfg.decaying_driver else 0.0
 
     def run(tau: float) -> tuple[float, float, int, int]:
         """(success probability, final norm, steps, status code) at one tau."""
@@ -405,7 +404,7 @@ def run_evolve(cfg: ExperimentConfig) -> str:
                 initial,
                 tol=cfg.tol_evolve,
                 samples=2,  # the CSV reads only the final norm
-                driver_shift=shift,
+                decaying_driver=cfg.decaying_driver,
             )
         except _EVOLVE_ERRORS as exc:
             return np.nan, np.nan, 0, 1 + _EVOLVE_ERRORS.index(type(exc))
@@ -445,14 +444,16 @@ def run_tau_sweep(cfg: ExperimentConfig) -> str:
 
 
 def run_ep_scan(cfg: ExperimentConfig) -> str:
-    """Exceptional-point search over a list of decay strengths."""
+    """Exceptional-point search over a list of decay strengths: one gap trace each."""
     deltas = cfg.delta0_list if cfg.delta0_list else (cfg.delta0,)
     assert deltas and deltas[0] is not None
     columns = ["delta0", "detected", "s", "gap", "overlap"]
     rows = []
     for d0 in deltas:
-        spec = _build_spec(cfg, delta0=d0)
-        ep = detect_exceptional_point(spec, cfg.grid_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleMinimaWarning)  # ep-scan reports no crossover
+            trace = trace_gap(_build_spec(cfg, delta0=d0), cfg.grid_points)
+        ep = detect_exceptional_point(trace)
         if ep is None:
             rows.append([fmt(d0), "false", "", "", ""])
         else:

@@ -9,13 +9,12 @@ a running log-norm and divides psi by |psi|: the norm decay of the decay term
 is kept exactly, a decayed state never underflows, and the step error is that
 of the unit state.  The adjoint mode evolves the left state under the
 conjugate-transposed generator so that the bi-orthogonal product <psi~|psi>
-is conserved.  The decaying driver's shift depends on the driver alone:
-:func:`decaying_driver_shift` computes it once, and a sweep passes it to
-every :func:`evolve` call.  The integrator reads the spec's stored
-XOR-diagonal terms and never its dense matrices.  Where the schedule starts
-on a driver of single-bit flips, as the transverse driver is, the initial
-ground state and the shift are closed forms, so an Ising anneal runs with no
-eigensolve.
+is conserved.  The decaying driver's shift is defined once, by
+:func:`decaying_driver_shift`, and :func:`evolve` applies it on request.
+The integrator reads the spec's stored XOR-diagonal terms and never its
+dense matrices.  Where the schedule starts on a driver of single-bit flips,
+as the transverse driver is, the initial ground state and the shift are
+closed forms, so an Ising anneal runs with no eigensolve.
 """
 
 from __future__ import annotations
@@ -224,15 +223,15 @@ def evolve(
     *,
     tol: float = DEFAULT_TOL,
     samples: int = DEFAULT_SAMPLES,
-    driver_shift: float = 0.0,
+    decaying_driver: bool = False,
 ) -> EvolutionResult:
     """Integrate from t = 0 to t = tau with adaptive step control.
 
     ``adjoint`` evolves the left state (returned as a column vector) under
-    the conjugate-transposed generator.  ``driver_shift`` adds that multiple
-    of the identity to the driver inside the decay term; with
-    ``decaying_driver_shift(spec.driver)`` the norm is non-increasing, and
-    eigenvalue differences are unaffected.
+    the conjugate-transposed generator.  ``decaying_driver`` adds
+    ``decaying_driver_shift(spec.driver)`` times the identity to the driver
+    inside the decay term: the norm is then non-increasing, and eigenvalue
+    differences are unaffected.
 
     Raises
     ------
@@ -253,7 +252,8 @@ def evolve(
         raise ValueError("samples must be >= 2")
 
     f0, f1, f2 = spec.schedule.f0, spec.schedule.f1, spec.schedule.f2
-    idx, terms = _xor_terms(spec, adjoint, driver_shift)
+    shift = decaying_driver_shift(spec.driver) if decaying_driver else 0.0
+    idx, terms = _xor_terms(spec, adjoint, shift)
     terms = terms.view(np.float64)  # real weights times complex terms: one real matmul
     weights_flat = np.empty((_STAGES, terms.shape[1]))
     weights = weights_flat.view(complex).reshape((_STAGES,) + idx.shape)

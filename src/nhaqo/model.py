@@ -80,6 +80,10 @@ class XorTerms:
         """Largest entry magnitude of m."""
         return maxnorm(self.diagonals)
 
+    def norm_bound(self) -> float:
+        """sum_k max_r |diagonals[k, r]|: each XOR-diagonal is a permutation times a diagonal, so this bounds ||m||_2."""
+        return float(np.abs(self.diagonals).max(axis=1).sum())
+
     def is_hermitian(self) -> bool:
         """max |m - m^dagger| within 1e-12 times the maxnorm."""
         return maxnorm(self.diagonals - self.adjoint()) <= 1e-12 * self.maxnorm()

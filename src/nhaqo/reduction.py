@@ -2,10 +2,10 @@
 
 The two lowest right eigenvectors at the crossover span a 2D subspace; the
 problem and driver Hamiltonians project onto it as real Bloch vectors
-(r0, r1) plus scalar offsets.  The schedule then drives the reduced model
-through the coupling J(s) = f0(s)|r0| and the complex drive
-g~(s) = (f1(s) - i f2(s))|r1|, whose closed-form gap, crossover and minimum
-are evaluated here.
+(r0, r1) plus scalar offsets, which shift both levels alike and are
+dropped.  The schedule then drives the reduced model through the coupling
+J(s) = f0(s)|r0| and the complex drive g~(s) = (f1(s) - i f2(s))|r1|,
+whose closed-form gap, crossover and minimum are evaluated here.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ class TwoLevelBasis:
 
 @dataclass(frozen=True)
 class TwoLevelParams:
-    """Reduced-model parameters: scalar offsets, Bloch vectors and mixing angle.
+    """Reduced-model parameters: the Bloch vectors of the problem and driver terms and their mixing angle.
 
     ``alpha`` is defined through cos(alpha) = -(r0.r1)/(|r0||r1|); the sign
     makes an anti-aligned driver (the usual annealing layout) come out at
     alpha = 0.
     """
 
-    lambda0: float
-    lambda1: float
     r0: np.ndarray
     r1: np.ndarray
     alpha: float
@@ -52,10 +50,10 @@ class TwoLevelParams:
         r0_mag: float = 1.0,
         r1_mag: float = 1.0,
     ) -> "TwoLevelParams":
-        """Canonical layout: r0 along z, r1 tilted by ``alpha`` against -z, no offsets."""
+        """Canonical layout: r0 along z, r1 tilted by ``alpha`` against -z."""
         r0 = np.array([0.0, 0.0, r0_mag])
         r1 = r1_mag * np.array([np.sin(alpha), 0.0, -np.cos(alpha)])
-        return cls(0.0, 0.0, r0, r1, float(alpha))
+        return cls(r0, r1, float(alpha))
 
     @cached_property
     def r0_mag(self) -> float:
@@ -137,8 +135,8 @@ def decompose_schedule_params(spec: AnnealSpec, basis: TwoLevelBasis) -> TwoLeve
     ZeroBlochVector
         If either projected traceless part vanishes (the angle is undefined).
     """
-    lam0, x0, y0, z0 = project_effective(spec.h0, basis)
-    lam1, x1, y1, z1 = project_effective(spec.h1, basis)
+    _, x0, y0, z0 = project_effective(spec.h0, basis)
+    _, x1, y1, z1 = project_effective(spec.h1, basis)
     r0 = np.array([x0.real, y0.real, z0.real])
     r1 = np.array([x1.real, y1.real, z1.real])
     n0 = float(np.linalg.norm(r0))
@@ -150,7 +148,7 @@ def decompose_schedule_params(spec: AnnealSpec, basis: TwoLevelBasis) -> TwoLeve
     # atan2 keeps alpha relatively accurate near 0 and pi, where arccos of the
     # cosine loses half the digits
     alpha = np.arctan2(np.linalg.norm(np.cross(r0, r1)), -(r0 @ r1))
-    return TwoLevelParams(lam0.real, lam1.real, r0, r1, float(alpha))
+    return TwoLevelParams(r0, r1, float(alpha))
 
 
 def gap_two_level(params: TwoLevelParams, j: float, g: float, delta: float) -> float:

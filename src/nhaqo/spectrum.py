@@ -4,22 +4,23 @@ The "ground state" of a non-Hermitian snapshot is the eigenvalue with the
 smallest real part, which connects continuously to the Hermitian ordering at
 the endpoints.  The gap is the modulus of the complex difference between the
 two lowest eigenvalues, the pair (E_0, E_1) that a snapshot keeps.  The gap
-trace, its polish and the exceptional-point scan take eigenvalues only from
-:func:`_lowest_pair`; eigenvectors are computed solely where an
-exceptional-point candidate is confirmed.
+trace and its polish take eigenvalues only from :func:`_lowest_pair`;
+eigenvectors are computed solely where an exceptional-point candidate is
+confirmed.
 
-The uniform grid of a gap trace, and the exceptional-point scan when no
-trace is given, go through :func:`nhaqo._scan.split_scan`: where the
-child's half of the points would take longer than a fork round trip, with
-two or more CPUs in the affinity mask and no other thread (BLAS pinned to
-one thread), one forked child computes that half.  Results are
-bit-identical to a serial scan.
+The gap trace is the only scan of the lowest pair.  Its uniform grid goes
+through :func:`nhaqo._scan.split_scan`: where the child's half of the
+points would take longer than a fork round trip, with two or more CPUs in
+the affinity mask and no other thread (BLAS pinned to one thread), one
+forked child computes that half.  Results are bit-identical to a serial
+scan.
 
 Each grid-local gap minimum is polished once, by Brent's method on the
 discriminant (E_1 - E_0)^2 plus a few Gauss-Newton steps; the crossover is
-the lowest polished minimum and the exceptional-point search tests the same
-list.  The discriminant is analytic through an exceptional point, where the
-gap closes like a square root and Brent's method on the gap stops short.
+the lowest polished minimum, and the exceptional-point search, a function
+of the trace, tests the same list.  The discriminant is analytic through an
+exceptional point, where the gap closes like a square root and Brent's
+method on the gap stops short.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
 
 
 def _lipschitz_bound(spec: AnnealSpec) -> float:
+    """|h0| + |h1| (1 + f2(0)) from the terms' operator-norm bounds: a bound on |dH/ds| for the linear ramp.
+
+    Where H is Hermitian, no eigenvalue moves faster than |dH/ds| (Weyl).
+    """
     delta0_scale = max(float(spec.schedule.f2(0.0)), 0.0)
-    return spec.problem.maxnorm() + spec.driver.maxnorm() * (1.0 + delta0_scale)
+    return spec.problem.norm_bound() + spec.driver.norm_bound() * (1.0 + delta0_scale)
 
 
 def trace_gap(spec: AnnealSpec, grid_points: int = DEFAULT_GRID_POINTS) -> GapTrace:
@@ -207,33 +212,19 @@ def _gap_minima(spec: AnnealSpec, ss: list[float], diffs: list[complex]) -> list
     return sorted((_polish_discriminant(spec, ss, diffs, i) for i in minima), key=lambda c: c[1])
 
 
-def detect_exceptional_point(
-    spec: AnnealSpec,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    *,
-    trace: GapTrace | None = None,
-) -> ExceptionalPoint | None:
-    """Search for an s where the gap closes and the lowest eigenvectors coalesce.
+def detect_exceptional_point(trace: GapTrace) -> ExceptionalPoint | None:
+    """Search a gap trace for an s where the gap closes and the lowest eigenvectors coalesce.
 
     Both signatures are required: a tiny gap with orthogonal eigenvectors is
     an ordinary (diabolic) near-crossing and returns ``None``.  The candidates
-    are the polished gap minima of :func:`_gap_minima`, tested in ascending
-    order of their gap: a ``trace`` of ``spec`` supplies its ``minima``, with
-    no new scan or polish; without one, the gap is scanned on a uniform grid
-    of ``grid_points`` and its minima are polished.
+    are the trace's polished gap minima, tested in ascending order of their
+    gap, with no new scan or polish.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    if trace is None:
-        ss = [float(s) for s in uniform_grid(grid_points)]
-        pairs = split_scan(lambda s: _lowest_pair(spec, s), ss, complex)
-        cands = _gap_minima(spec, ss, list(pairs[:, 1] - pairs[:, 0]))
-    elif trace.minima:
-        cands = trace.minima
-    else:
+    if not trace.minima:
         raise ValueError("trace carries no polished gap minima")
+    spec = trace.spec
     gap_tol = EP_GAP_FACTOR * (spec.problem.maxnorm() + spec.driver.maxnorm())
-    for s_min, gap_min in cands:
+    for s_min, gap_min in trace.minima:
         if gap_min >= gap_tol:
             break
         overlap = _ground_pair_overlap(spec, s_min)

@@ -60,11 +60,11 @@ def outcome(run):
 
 
 def scans():
-    """Bit patterns of the gap trace, the EP scan and the measured matrix element."""
+    """Bit patterns of the gap trace, the EP found on it and the measured matrix element."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)
         trace = trace_gap(SPEC6, 201)
-    ep = detect_exceptional_point(SPEC6, 201)
+    ep = detect_exceptional_point(trace)
     digest = hashlib.sha256()
     for sn in trace.snapshots:
         digest.update(sn.pair.tobytes())

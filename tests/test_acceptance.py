@@ -17,7 +17,7 @@ from conftest import corpus_data
 from nhaqo.adiabatic import min_time_linear_ramp
 from nhaqo.cli import main
 from nhaqo.errors import MultipleMinimaWarning
-from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state
+from nhaqo.evolve import evolve, initial_ground_state
 from nhaqo.model import (
     Schedule,
     ising_anneal_spec,
@@ -221,10 +221,10 @@ def test_criterion_06_gap_formula_vs_eigensolver():
 def test_criterion_07_exceptional_point_detection():
     alpha = float(np.arccos(0.8))
     spec = two_level_spec(1.0, 0.75, alpha)  # passes through (g, d) = (J cos a, J sin a)
-    ep = detect_exceptional_point(spec, 1001)
+    ep = detect_exceptional_point(trace_gap(spec, 1001))
     found = ep is not None and ep.gap < 2e-6 and ep.overlap > 0.99
     d0_shifted = 0.75 + 1e-3 * (5.0 / 9.0) / (4.0 / 9.0)  # delta + 1e-3*J at the touch point
-    removed = detect_exceptional_point(two_level_spec(1.0, d0_shifted, alpha), 1001) is None
+    removed = detect_exceptional_point(trace_gap(two_level_spec(1.0, d0_shifted, alpha), 1001)) is None
     ok = found and removed
     detail = f"gap={ep.gap:.2e}, overlap={ep.overlap:.6f}, s={ep.s:.6f}" if ep else "not found"
     report(7, "exceptional point flagged and unflagged", ok, detail)
@@ -250,8 +250,7 @@ def anneal_success(spec, tau, decaying):
     unit state.
     """
     spec = dataclasses.replace(spec, tau=tau)
-    shift = decaying_driver_shift(spec.driver) if decaying else 0.0
-    return evolve(spec, initial_ground_state(spec), tol=1e-8, samples=2, driver_shift=shift).success_probability
+    return evolve(spec, initial_ground_state(spec), tol=1e-8, samples=2, decaying_driver=decaying).success_probability
 
 
 def test_criterion_09_nonhermitian_advantage():

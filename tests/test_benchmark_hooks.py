@@ -10,7 +10,7 @@ import numpy as np
 
 from nhaqo import adiabatic, cli
 from nhaqo.adiabatic import measured_matrix_element
-from nhaqo.evolve import decaying_driver_shift, evolve, initial_ground_state
+from nhaqo.evolve import evolve, initial_ground_state
 from nhaqo.model import XorTerms, ising_anneal_spec
 from nhaqo.spectrum import trace_gap
 
@@ -57,7 +57,7 @@ def test_evolve_calls_schedule_f0_once_per_stage():
         return f0(s)
 
     counted = dataclasses.replace(spec, schedule=dataclasses.replace(spec.schedule, f0=counted_f0))
-    res = evolve(counted, initial, driver_shift=decaying_driver_shift(spec.driver))
+    res = evolve(counted, initial, decaying_driver=True)
     assert calls % 12 == 0
     assert calls >= 12 * res.steps_taken
 

@@ -401,6 +401,20 @@ def test_ep_scan_csv(tmp_path):
     assert detected["1.5"] == "false"
 
 
+@pytest.mark.parametrize("grid_points", [201, 1001])
+def test_ep_scan_row_is_the_gap_trace_ep_footer(tmp_path, grid_points):
+    # criterion 7's coalescence: ep-scan reads its EP off the same gap trace
+    # that gap-trace writes, so the row and the footer agree string for string
+    settings = ["--set", f"alpha={float(np.arccos(0.8))!r}", "--set", f"grid_points={grid_points}"]
+    scan, trace = tmp_path / "ep.csv", tmp_path / "trace.csv"
+    assert main(["ep-scan", *settings, "--set", "delta0_list=0.5,0.75,1.5", "--out", str(scan)]) == 0
+    assert main(["gap-trace", *settings, "--set", "delta0=0.75", "--out", str(trace)]) == 0
+    row = next(r.split(",") for r in data_rows(read(str(scan))) if r.startswith("0.75,"))
+    assert row[1] == "true"
+    ep_line = next(ln for ln in footers(read(str(trace))) if ln.startswith("# ep "))
+    assert ep_line == f"# ep s={row[2]} gap={row[3]} overlap={row[4]}"
+
+
 def test_determinism_byte_identical(tmp_path):
     args = [
         "gap-trace",

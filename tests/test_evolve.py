@@ -148,7 +148,7 @@ def test_hermitian_norm_conservation():
 
 def test_norm_monotone_with_decaying_driver():
     spec = ising_anneal_spec(2, seed=3, delta0=0.8, tau=4.0)
-    res = evolve(spec, initial_ground_state(spec), driver_shift=decaying_driver_shift(spec.driver))
+    res = evolve(spec, initial_ground_state(spec), decaying_driver=True)
     norms = [nrm for _, nrm in res.norm_history]
     for a, b in zip(norms[:-1], norms[1:]):
         assert b <= a + 1e-10
@@ -167,9 +167,8 @@ def test_adjoint_pairing_is_conserved():
         left_row = es.left_vectors[0]
         chi0 = left_row.conj()
         scale = np.linalg.norm(chi0)
-        shift = decaying_driver_shift(spec.driver) if decaying else 0.0
-        fwd = evolve(spec, psi0, samples=51, driver_shift=shift)
-        adj = evolve(spec, chi0 / scale, adjoint=True, samples=51, driver_shift=shift)
+        fwd = evolve(spec, psi0, samples=51, decaying_driver=decaying)
+        adj = evolve(spec, chi0 / scale, adjoint=True, samples=51, decaying_driver=decaying)
         start = left_row @ psi0
         end = np.vdot(adj.final_state * scale, fwd.final_state)
         assert abs(end - start) < 1e-7
@@ -479,7 +478,7 @@ def test_decaying_n8_anneal_matches_scipy():
 
     sol = integrate.solve_ivp(rhs, (0.0, spec.tau), v0, method="DOP853", rtol=1e-12, atol=1e-14)
     ref = sol.y[:, -1]
-    res = evolve(spec, v0, samples=2, driver_shift=decaying_driver_shift(spec.driver))
+    res = evolve(spec, v0, samples=2, decaying_driver=True)
     assert res.success_probability == pytest.approx(success_probability(ref, spec.problem), rel=1e-8)
     assert res.norm_history[-1][1] == pytest.approx(np.linalg.norm(ref), rel=1e-8)
 

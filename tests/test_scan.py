@@ -33,8 +33,9 @@ def probe():
 
 def test_split_scans_are_bit_identical_to_serial_scans(probe):
     split, serial = probe["split"]["scans"], probe["serial"]["scans"]
-    # trace_gap's grid, the EP scan and measured_matrix_element's grid each fork once
-    assert split["forks"] == 3
+    # trace_gap's grid and measured_matrix_element's grid each fork once; the
+    # EP search reads the trace and scans nothing
+    assert split["forks"] == 2
     assert split["result"] == serial["result"]
 
 

@@ -170,7 +170,7 @@ def test_crossover_and_ep_search_reject_a_trace_without_minima():
     with pytest.raises(ValueError, match="polished gap minima"):
         find_crossover(trace)
     with pytest.raises(ValueError, match="no polished gap minima"):
-        detect_exceptional_point(trace.spec, trace=trace)
+        detect_exceptional_point(trace)
 
 
 def test_eigenvalue_continuity_refinement_inserts_points():
@@ -191,6 +191,24 @@ def test_eigenvalue_continuity_refinement_inserts_points():
     assert [sn.s for sn in dense.snapshots] == sorted(sn.s for sn in dense.snapshots)
 
 
+@pytest.mark.parametrize(
+    "spec, grid_points, expected",
+    [
+        # Hermitian: no eigenvalue moves faster than |dH/ds| (Weyl), so no
+        # point is inserted; entry maxnorms inserted 255 and 30 points
+        (ising_anneal_spec(3, seed=6, delta0=0.0), 51, 51),
+        (ising_anneal_spec(4, seed=14, delta0=0.0), 51, 51),
+        # decaying: 8 points where entry maxnorms inserted 587
+        (ising_anneal_spec(6, seed=1, delta0=1.0), 201, 209),
+    ],
+)
+def test_refinement_bound_is_the_terms_operator_norm(spec, grid_points, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        trace = trace_gap(spec, grid_points)
+    assert len(trace.snapshots) == expected
+
+
 def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     # diagonal spec: the lowest pair (real parts -3, -2) moves smoothly while
     # the upper levels 3 - 2s - 3i(1-s) and 2s cross in real part at s = 3/4,
@@ -200,7 +218,8 @@ def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     spec = dense_spec(h0, h1, linear_schedule(1.0), 1.0, 2)
     grid = [float(s) for s in uniform_grid(101)]
     coarse = [sorted_eigenvalues(total_hamiltonian(spec, s)) for s in grid]
-    # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step
+    # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step: each
+    # term is diagonal, so its operator-norm bound is its largest entry
     bound_step = (3.0 + 3.0 * (1.0 + 1.0)) / 100
     jumps = [float(np.max(np.abs(b[2:] - a[2:]))) for a, b in zip(coarse[:-1], coarse[1:])]
     assert max(jumps) > 5 * bound_step
@@ -252,7 +271,7 @@ def test_gap_trace_scans_each_grid_point_once(monkeypatch, call_log, tmp_path):
     monkeypatch.setattr(nhaqo.spectrum, "_polish_discriminant", flagged(nhaqo.spectrum._polish_discriminant))
     cfg = build_config(
         "gap-trace",
-        overrides=["model=ising", "n_qubits=5", "seed=130", "delta0=0.5", "grid_points=101"],
+        overrides=["model=ising", "n_qubits=5", "seed=130", "delta0=1.0", "grid_points=101"],
         out=str(tmp_path / "trace.csv"),
     )
     with open(run_gap_trace(cfg), encoding="utf-8") as fh:
@@ -272,10 +291,9 @@ def _gap_trace_footers(tmp_path, *overrides: str) -> dict[str, str]:
 
 
 def test_every_eigenvalue_comes_through_the_lowest_pair_and_snapshots_keep_only_it(monkeypatch, call_log):
-    # the gap trace's scan and refinement, its polish and the EP scan take
-    # eigenvalues only from _lowest_pair, and each snapshot keeps the pair
-    # alone, pinning no 2^n buffer.  CallLogs count a forked scan child's
-    # eigensolves too
+    # two gap traces' scans, refinements and polishes take eigenvalues only
+    # from _lowest_pair, and each snapshot keeps the pair alone, pinning no
+    # 2^n buffer.  CallLogs count a forked scan child's eigensolves too
     spec = ising_anneal_spec(6, seed=1, delta0=0.5)
     through, outside = call_log(), call_log()
     inside = []
@@ -293,12 +311,12 @@ def test_every_eigenvalue_comes_through_the_lowest_pair_and_snapshots_keep_only_
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)
         trace = trace_gap(spec, 201)
-    assert detect_exceptional_point(spec, 201, trace=trace) is None
-    assert detect_exceptional_point(spec, 201) is None
+        assert detect_exceptional_point(trace) is None
+        assert detect_exceptional_point(trace_gap(spec, 201)) is None
     monkeypatch.undo()
     assert len(outside) == 0
-    # 205 trace samples and 201 EP-scan samples, each polish on top
-    assert len(through) > 205 + 201
+    # two traces of 205 samples, each polish on top
+    assert len(through) > 205 + 205
     for sn in trace.snapshots:
         assert sn.pair.shape == (2,)
         assert sn.pair.base is None or sn.pair.base.shape[-1] == 2
@@ -365,7 +383,7 @@ def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
 def test_ep_detected_at_constructed_coalescence():
     # drive and decay tuned to meet the coalescence conditions at s = 5/9
     spec = two_level_spec(1.0, EP_D0, EP_ALPHA)
-    ep = detect_exceptional_point(spec, 1001)
+    ep = detect_exceptional_point(trace_gap(spec, 1001))
     assert ep is not None
     assert ep.s == pytest.approx(5.0 / 9.0, abs=1e-6)
     # the gap closes like sqrt|s - 5/9|: golden section to xtol 1e-14 stopped at 2.9e-8
@@ -374,23 +392,23 @@ def test_ep_detected_at_constructed_coalescence():
 
 
 def test_ep_removed_by_decay_perturbation():
-    assert detect_exceptional_point(two_level_spec(1.0, EP_D0_SHIFTED, EP_ALPHA), 1001) is None
+    assert detect_exceptional_point(trace_gap(two_level_spec(1.0, EP_D0_SHIFTED, EP_ALPHA), 1001)) is None
 
 
 def test_ep_not_reported_when_decay_dominates():
     # orthogonal driver axis: the coalescence conditions have no solution
     spec = two_level_spec(1.0, 1.0, np.pi / 2)
-    assert detect_exceptional_point(spec, 501) is None
+    assert detect_exceptional_point(trace_gap(spec, 501)) is None
     # tilted driver but decay held above the critical strength throughout
     spec2 = two_level_spec(1.0, 1.5, float(np.arccos(0.8)))
-    assert detect_exceptional_point(spec2, 501) is None
+    assert detect_exceptional_point(trace_gap(spec2, 501)) is None
 
 
 def test_hermitian_avoided_crossing_is_not_an_ep():
     spec = two_level_spec(1.0, 0.0, float(np.arcsin(1e-8)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleMinimaWarning)
-        assert detect_exceptional_point(spec, 1001) is None
+        assert detect_exceptional_point(trace_gap(spec, 1001)) is None
     # eigenvectors stay orthogonal at the near-crossing
     from nhaqo.spectrum import _ground_pair_overlap
 
@@ -426,14 +444,16 @@ def test_brent_finds_smooth_kinked_and_boundary_minima():
 
 def test_ep_search_polishes_each_minimum_in_at_most_25_eigensolves(monkeypatch, call_log):
     spec = ising_anneal_spec(6, seed=1, delta0=0.5)
-    minima = local_minima_indices([gap_at(spec, float(s)) for s in uniform_grid(201)])
     calls = call_log()
     for name in ("eigvals", "eig"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver: calls.append(a.shape[0]) or _solver(a))
-    detect_exceptional_point(spec, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        trace = trace_gap(spec, 201)
+    detect_exceptional_point(trace)
     # golden section spent 63 eigensolves on every minimum
-    assert len(calls) <= 201 + 25 * len(minima)
+    assert len(calls) <= len(trace.snapshots) + 25 * len(trace.minima)
 
 
 def test_crossover_polish_takes_at_most_32_gap_evaluations(monkeypatch):
