@@ -41,7 +41,7 @@ DEFAULT_GRID_POINTS = 1001
 EP_GAP_FACTOR = 1e-6
 #: and coalesce the two lowest right eigenvectors beyond this overlap
 EP_OVERLAP_THRESHOLD = 0.99
-#: refinement passes inserted where the lowest pair moves faster than the Lipschitz bound
+#: bisection depth of a gap-trace interval where the lowest pair moves further than the schedule's increments allow
 MAX_REFINE_ROUNDS = 4
 
 
@@ -90,44 +90,44 @@ def instantaneous_spectrum(spec: AnnealSpec, s: float) -> SpectrumSnapshot:
     return SpectrumSnapshot(float(s), _lowest_pair(spec, s))
 
 
-def _lipschitz_bound(spec: AnnealSpec) -> float:
-    """|h0| + |h1| (1 + f2(0)) from the terms' operator-norm bounds: a bound on |dH/ds| for the linear ramp.
-
-    Where H is Hermitian, no eigenvalue moves faster than |dH/ds| (Weyl).
-    """
-    delta0_scale = max(float(spec.schedule.f2(0.0)), 0.0)
-    return spec.problem.norm_bound() + spec.driver.norm_bound() * (1.0 + delta0_scale)
-
-
 def trace_gap(spec: AnnealSpec, grid_points: int = DEFAULT_GRID_POINTS) -> GapTrace:
     """Sample the spectrum on a uniform s grid, polish its gap minima and locate the crossover.
 
-    Where the two lowest sorted eigenvalues, the pair the gap is taken of,
-    move between consecutive samples faster than the schedule's Lipschitz
-    bound allows, midpoints are inserted for up to ``MAX_REFINE_ROUNDS``
-    passes.  Sort-order jumps of higher levels are ignored (jumps of the
-    lowest pair at complex real-part crossings may persist; branch
-    continuation is out of scope).  Every grid-local minimum of the samples
-    is then polished once by :func:`_polish_discriminant`.
+    An interval [a, b] is bisected, to a depth of ``MAX_REFINE_ROUNDS``,
+    where the lowest pair (the two lowest sorted eigenvalues) moves further
+    than the schedule's increments allow, B = |f0(b) - f0(a)| |h0| +
+    (|f1(b) - f1(a)| + |f2(b) - f2(a)|) |h1| with the terms' ``norm_bound()``.
+    B bounds ||H(b) - H(a)||, so where H is Hermitian no eigenvalue moves
+    further (Weyl): a Hermitian trace inserts no point under any schedule.
+    Sort-order jumps of higher levels are ignored (jumps of the lowest pair
+    at complex real-part crossings may persist; branch continuation is out
+    of scope).  Every grid-local minimum of the samples is then polished
+    once by :func:`_polish_discriminant`.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = [float(s) for s in uniform_grid(grid_points)]
     pairs = split_scan(lambda s: instantaneous_spectrum(spec, s).pair, grid, complex)
     snaps = [SpectrumSnapshot(s, pair) for s, pair in zip(grid, pairs)]
-    bound = _lipschitz_bound(spec)
-    slack = 1e-12 * max(bound, 1.0)
-    for _ in range(MAX_REFINE_ROUNDS):
-        new_points: list[float] = []
-        for a, b in zip(snaps[:-1], snaps[1:]):
-            step = b.s - a.s
+    f, n0, n1 = spec.schedule, spec.problem.norm_bound(), spec.driver.norm_bound()
+
+    def increment_bound(a: float, b: float) -> float:
+        return abs(f.f0(b) - f.f0(a)) * n0 + (abs(f.f1(b) - f.f1(a)) + abs(f.f2(b) - f.f2(a))) * n1
+
+    slack = 1e-12 * max(increment_bound(0.0, 1.0), 1.0)
+
+    refined: list[SpectrumSnapshot] = []
+    for lo, hi in zip(snaps[:-1], snaps[1:]):
+        todo = [(lo, hi, 0)]  # bisected depth first, left half first, so ``refined`` stays sorted
+        while todo:
+            a, b, depth = todo.pop()
             motion = float(np.max(np.abs(b.pair - a.pair)))
-            if motion > bound * step + slack:
-                new_points.append(0.5 * (a.s + b.s))
-        if not new_points:
-            break
-        snaps.extend(instantaneous_spectrum(spec, s) for s in new_points)
-        snaps.sort(key=lambda sn: sn.s)
+            if depth == MAX_REFINE_ROUNDS or motion <= increment_bound(a.s, b.s) + slack:
+                refined.append(a)
+            else:
+                mid = instantaneous_spectrum(spec, 0.5 * (a.s + b.s))
+                todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+    snaps = refined + snaps[-1:]
     diffs = [sn.pair[1] - sn.pair[0] for sn in snaps]
     trace = GapTrace(spec, snaps, _gap_minima(spec, [sn.s for sn in snaps], diffs))
     trace.s_c, trace.g_m = find_crossover(trace)

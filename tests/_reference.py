@@ -1,17 +1,30 @@
-"""Dense reference builders and checks that the library no longer carries.
+"""Dense reference builders and checks that the library no longer carries, and a full-model EP constructor.
 
 The library stores Hamiltonian terms as XOR-diagonals (``nhaqo.model.XorTerms``)
 and needs no dense builder, full bi-orthonormal eigensystem or dense
 Hermiticity test; the tests keep these as independent references.
+:func:`ray_branch_point` constructs the decay strengths at which a
+full-model gap trace passes through an exceptional point.
 """
 
+import cmath
+import dataclasses
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from nhaqo.errors import DuplicateCoupling
 from nhaqo.linalg import EigenSystem, biorthonormalize, eig_nonhermitian, maxnorm
-from nhaqo.model import AnnealSpec, XorTerms
+from nhaqo.model import AnnealSpec, XorTerms, linear_schedule
+from nhaqo.spectrum import _lowest_pair
+
+#: (n, seed) -> (delta*, s*): exceptional points of ising_anneal_spec(n, seed=seed, delta0=delta*),
+#: as :func:`ray_branch_point` finds them from the lowest gap minimum of the 201-point delta0 = 0.25 trace
+FULL_MODEL_EPS = {
+    (4, 1): (0.3583793369763562, 0.8040190408344313),
+    (6, 1): (0.690701838992861, 0.43224344629705175),
+}
 
 
 def _spin_values(n: int, qubit: int) -> np.ndarray:
@@ -76,3 +89,47 @@ def is_hermitian(m, rtol: float = 1e-12) -> bool:
 def dense_spec(h0, h1, schedule, tau, n_qubits) -> AnnealSpec:
     """Spec from dense terms without ``make_anneal_spec``'s checks (commuting or non-Hermitian pairs allowed)."""
     return AnnealSpec(XorTerms.from_dense(h0), XorTerms.from_dense(h1), schedule, float(tau), n_qubits)
+
+
+def _ray_point(lam: complex) -> tuple[float, float]:
+    """(delta, s) of the pencil point lam: delta = tan arg lam, s = R / (1 + R) with R = |lam| sqrt(1 + delta^2)."""
+    delta = math.tan(cmath.phase(lam))
+    r = abs(lam) * math.sqrt(1.0 + delta * delta)
+    return delta, r / (1.0 + r)
+
+
+def ray_branch_point(spec: AnnealSpec, delta: float, s: float) -> tuple[float, float, int]:
+    """(delta*, s*, eigensolves): an exceptional point of the lowest pair, by a secant from the point (delta, s).
+
+    Under the linear ramp, H(s; delta) = c (h1 + lam h0) with
+    c = (1 - s)(1 - i delta) and lam = s / c, so each decay strength walks the
+    ray arg lam = atan(delta) of one real-symmetric pencil, and the anneal's
+    exceptional points are the pencil's complex branch points.  There
+    q(lam) = ((E_1 - E_0) / c)^2, the pencil's lowest-pair discriminant, has a
+    simple zero.  The secant on q starts at lam(delta, s) and lam (1 + 0.1i),
+    halves any step that leaves 0 < arg lam < pi/2 (delta must stay
+    positive), and stops once a step is below 1e-12 |lam|, within 40
+    eigensolves.  E_0, E_1 come from ``spectrum._lowest_pair`` at the delta
+    and s of each lam.
+    """
+    evals = 0
+
+    def q(lam: complex) -> complex:
+        nonlocal evals
+        evals += 1
+        d, x = _ray_point(lam)
+        e0, e1 = _lowest_pair(dataclasses.replace(spec, schedule=linear_schedule(d)), x)
+        return complex((e1 - e0) / ((1.0 - x) * (1.0 - 1j * d))) ** 2
+
+    lam0 = s / ((1.0 - s) * (1.0 - 1j * delta))
+    lam1 = lam0 * (1.0 + 0.1j)
+    q0, q1 = q(lam0), q(lam1)
+    while evals < 40 and q1 != q0:
+        step = -q1 * (lam1 - lam0) / (q1 - q0)
+        while not 0.0 < cmath.phase(lam1 + step) < math.pi / 2:
+            step /= 2
+        lam0, q0, lam1 = lam1, q1, lam1 + step
+        q1 = q(lam1)
+        if abs(step) <= 1e-12 * abs(lam1):
+            return (*_ray_point(lam1), evals)
+    raise RuntimeError(f"secant did not converge in {evals} eigensolves")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import FULL_MODEL_EPS
 from nhaqo.cli import (
     ExperimentConfig,
     build_config,
@@ -413,6 +414,20 @@ def test_ep_scan_row_is_the_gap_trace_ep_footer(tmp_path, grid_points):
     assert row[1] == "true"
     ep_line = next(ln for ln in footers(read(str(trace))) if ln.startswith("# ep "))
     assert ep_line == f"# ep s={row[2]} gap={row[3]} overlap={row[4]}"
+
+
+def test_ep_scan_detects_a_full_model_ep_only_at_its_decay_strength(tmp_path):
+    # the n=6 exceptional point of FULL_MODEL_EPS: the row is detected at
+    # delta* and not at delta* (1 + 1e-3)
+    delta_star, s_star = FULL_MODEL_EPS[(6, 1)]
+    out = tmp_path / "ep.csv"
+    deltas = f"{delta_star!r},{delta_star * (1 + 1e-3)!r}"
+    settings = ["model=ising", "n_qubits=6", "seed=1", "grid_points=201", f"delta0_list={deltas}"]
+    assert main(["ep-scan", *(a for kv in settings for a in ("--set", kv)), "--out", str(out)]) == 0
+    tuned, detuned = [r.split(",") for r in data_rows(read(str(out)))[1:]]
+    assert tuned[1] == "true"
+    assert float(tuned[2]) == pytest.approx(s_star, abs=1e-6)
+    assert detuned[1:] == ["false", "", "", ""]
 
 
 def test_determinism_byte_identical(tmp_path):

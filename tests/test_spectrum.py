@@ -1,5 +1,6 @@
 """Gap traces, crossover refinement and exceptional-point detection."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nhaqo._minimize
-from _reference import dense_spec
+from _reference import FULL_MODEL_EPS, dense_spec, ray_branch_point
 import nhaqo.spectrum
 from nhaqo._minimize import brent, local_minima_indices, uniform_grid
 from nhaqo.cli import build_config, fmt, run_gap_trace
@@ -17,6 +18,7 @@ from nhaqo.linalg import eig_nonhermitian, maxnorm, sorted_eigenvalues
 from nhaqo.model import (
     PAULI_X,
     PAULI_Z,
+    Schedule,
     ising_anneal_spec,
     linear_schedule,
     make_anneal_spec,
@@ -119,29 +121,27 @@ def test_crossover_boundary_minimum_no_warning():
     assert trace.g_m == pytest.approx(2.0, abs=1e-9)
 
 
-def test_crossover_warns_on_tied_minima():
+def _tied_minima_spec():
     # constant coupling against an oscillating drive: two equal-depth dips,
     # symmetric about s = 1/2
-    from nhaqo.model import Schedule
-
     alpha = 0.1
-    h0 = PAULI_Z
     h1 = np.sin(alpha) * PAULI_X - np.cos(alpha) * PAULI_Z
     sched = Schedule(
         f0=lambda s: 0.5,
         f1=lambda s: 0.5 + 0.4 * np.cos(2 * np.pi * s),
         f2=lambda s: 0.0,
     )
-    spec = dense_spec(h0, h1, sched, 1.0, 1)
+    return dense_spec(PAULI_Z, h1, sched, 1.0, 1)
+
+
+def test_crossover_warns_on_tied_minima():
     with pytest.warns(MultipleMinimaWarning):
-        trace_gap(spec, 201)
+        trace_gap(_tied_minima_spec(), 201)
 
 
 def test_rotation_schedule_has_constant_gap():
     # pure rotation f0 = sin(ws), f1 = cos(ws) of Z against X: the gap is 2
     # everywhere along s
-    from nhaqo.model import Schedule
-
     omega = 0.7
     sched = Schedule(
         f0=lambda s: float(np.sin(omega * s)),
@@ -209,6 +209,18 @@ def test_refinement_bound_is_the_terms_operator_norm(spec, grid_points, expected
     assert len(trace.snapshots) == expected
 
 
+def test_hermitian_trace_inserts_no_point_under_any_schedule():
+    # the schedule's own increments bound ||H(b) - H(a)||, so by Weyl no
+    # Hermitian eigenvalue moves further across an interval; a bound from the
+    # linear ramp's slopes inserted 616 and 117 points here
+    with pytest.warns(MultipleMinimaWarning):
+        tied = trace_gap(_tied_minima_spec(), 201)
+    assert len(tied.snapshots) == 201
+    steep = Schedule(f0=lambda s: s**6, f1=lambda s: 1.0 - s**6, f2=lambda s: 0.0)
+    spec = dataclasses.replace(ising_anneal_spec(4, seed=14), schedule=steep)
+    assert len(trace_gap(spec, 51).snapshots) == 51
+
+
 def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     # diagonal spec: the lowest pair (real parts -3, -2) moves smoothly while
     # the upper levels 3 - 2s - 3i(1-s) and 2s cross in real part at s = 3/4,
@@ -218,8 +230,9 @@ def test_refinement_ignores_sort_order_jumps_above_the_lowest_pair():
     spec = dense_spec(h0, h1, linear_schedule(1.0), 1.0, 2)
     grid = [float(s) for s in uniform_grid(101)]
     coarse = [sorted_eigenvalues(total_hamiltonian(spec, s)) for s in grid]
-    # Lipschitz bound |h0| + |h1| (1 + delta0) times the grid step: each
-    # term is diagonal, so its operator-norm bound is its largest entry
+    # increment bound |df0| |h0| + (|df1| + |df2|) |h1| over one grid step of
+    # the linear ramp: each term is diagonal, so its operator-norm bound is
+    # its largest entry
     bound_step = (3.0 + 3.0 * (1.0 + 1.0)) / 100
     jumps = [float(np.max(np.abs(b[2:] - a[2:]))) for a, b in zip(coarse[:-1], coarse[1:])]
     assert max(jumps) > 5 * bound_step
@@ -413,6 +426,44 @@ def test_hermitian_avoided_crossing_is_not_an_ep():
     from nhaqo.spectrum import _ground_pair_overlap
 
     assert _ground_pair_overlap(spec, 0.5) < 0.01
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_full_model_ep_is_a_branch_point_of_the_ray_pencil(n):
+    # the secant on the pencil discriminant, started from the lowest gap
+    # minimum of the delta0 = 0.25 ray, reaches the pinned (delta*, s*)
+    delta_star, s_star = FULL_MODEL_EPS[(n, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleMinimaWarning)
+        start = trace_gap(ising_anneal_spec(n, seed=1, delta0=0.25), 201)
+    delta, s, eigensolves = ray_branch_point(start.spec, 0.25, start.s_c)
+    assert delta == pytest.approx(delta_star, abs=1e-12)
+    assert s == pytest.approx(s_star, abs=1e-10)
+    assert eigensolves <= 12
+    # the trace at delta* passes through the EP; 1e-3 off, it misses it
+    ep = detect_exceptional_point(trace_gap(ising_anneal_spec(n, seed=1, delta0=delta_star), 201))
+    assert ep is not None
+    assert ep.s == pytest.approx(s_star, abs=1e-6)
+    assert ep.overlap > 0.99
+    detuned = ising_anneal_spec(n, seed=1, delta0=delta_star * (1 + 1e-3))
+    assert detect_exceptional_point(trace_gap(detuned, 201)) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 0.99), st.floats(0.0, 3.0))
+@example(0.0, 0.0)
+@example(0.5, 1.0)
+@example(0.9, 0.25)
+def test_linear_ramp_walks_a_ray_of_one_pencil(s, delta):
+    # H(s; delta) = c (h1 + lam h0) with c = (1 - s)(1 - i delta), lam = s / c
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    spec = ising_anneal_spec(4, seed=1, delta0=delta)
+    c = (1.0 - s) * (1.0 - 1j * delta)
+    pencil = c * np.linalg.eigvals(spec.h1 + (s / c) * spec.h0)
+    vals = sorted_eigenvalues(total_hamiltonian(spec, s))
+    cost = np.abs(vals[:, None] - pencil[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-10 * (spec.problem.norm_bound() + spec.driver.norm_bound())
 
 
 def test_gap_at_matches_snapshot():
