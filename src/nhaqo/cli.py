@@ -28,7 +28,13 @@ Schema (keys, all optional unless an experiment requires them)::
     tol_evolve   = float      integrator tolerance (default 1e-10)
     decaying_driver = true|false
 
+Each key's parser and canonical text come from its type in
+:class:`ExperimentConfig`.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+An unknown key, an unparsable value or a value the library rejects (say a
+negative decay, a non-positive tau or a field list of the wrong length)
+exits 2 before any CSV is written.
 """
 
 from __future__ import annotations
@@ -44,9 +50,9 @@ import numpy as np
 
 from . import __version__
 from ._minimize import polished_minima, uniform_grid
-from .adiabatic import min_time_linear_ramp
+from .adiabatic import AdiabaticBudget, min_time_linear_ramp
 from ._scan import split_scan
-from .errors import ConfigError, MultipleMinimaWarning, NhaqoError, NonFiniteState, StepUnderflow
+from .errors import ConfigError, DuplicateCoupling, MultipleMinimaWarning, NhaqoError, NonFiniteState, StepUnderflow
 from .evolve import evolve, initial_ground_state
 from .linalg import DEFECT_TOLERANCE
 from .model import AnnealSpec, ising_anneal_spec, linear_schedule, two_level_spec
@@ -92,77 +98,60 @@ def fmt(x) -> str:
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    try:
-        return _BOOLS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
+def _parser(convert, expected: str):
+    """``convert`` on one item; a bad item raises ValueError("expected <expected>, got <item>")."""
+
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+
+    return parse
 
 
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a float, got {raw!r}") from None
+_int = _parser(int, "an integer")
+_float = _parser(float, "a float")
 
 
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float_list(raw: str, key: str) -> tuple[float, ...]:
-    items = [x.strip() for x in raw.split(",") if x.strip()]
+def _items(raw: str, sep: str, parse) -> tuple:
+    items = tuple(parse(x.strip()) for x in raw.split(sep) if x.strip())
     if not items:
-        raise ConfigError(f"{key}: empty list")
-    return tuple(_parse_float(x, key) for x in items)
+        raise ValueError("empty list")
+    return items
 
 
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
-    items = [x.strip() for x in raw.split(",") if x.strip()]
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    return tuple(_parse_int(x, key) for x in items)
+def _triple(chunk: str) -> tuple[int, int, float]:
+    parts = [p.strip() for p in chunk.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"expected 'i,j,J' triples, got {chunk!r}")
+    return _int(parts[0]), _int(parts[1]), _float(parts[2])
 
 
-def _parse_couplings(raw: str, key: str) -> tuple[tuple[int, int, float], ...]:
-    out = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"{key}: expected 'i,j,J' triples, got {chunk!r}")
-        out.append((_parse_int(parts[0], key), _parse_int(parts[1], key), _parse_float(parts[2], key)))
-    if not out:
-        raise ConfigError(f"{key}: empty list")
-    return tuple(out)
-
-
-_COERCERS = {
-    "experiment": lambda raw, key: raw.strip(),
-    "model": lambda raw, key: raw.strip(),
-    "n_qubits": _parse_int,
-    "seed": _parse_int,
-    "fields": _parse_float_list,
-    "couplings": _parse_couplings,
-    "j_star": _parse_float,
-    "delta0": _parse_float,
-    "delta0_list": _parse_float_list,
-    "tau": _parse_float,
-    "tau_list": _parse_float_list,
-    "n_list": _parse_int_list,
-    "alpha": _parse_float,
-    "cos_alpha": _parse_float,
-    "delta_qubit": _parse_float,
-    "grid_points": _parse_int,
-    "output_path": lambda raw, key: raw.strip(),
-    "tol_evolve": _parse_float,
-    "decaying_driver": _parse_bool,
+#: (parser, formatter) per declared field type; a field reads its entry off its annotation
+_TYPES = {
+    "str": (str, str),
+    "int": (_int, str),
+    "float": (_float, repr),
+    "bool": (_parser(lambda raw: _BOOLS[raw.lower()], "a boolean"), lambda v: "true" if v else "false"),
+    "tuple[float, ...]": (lambda raw: _items(raw, ",", _float), lambda v: ",".join(map(repr, v))),
+    "tuple[int, ...]": (lambda raw: _items(raw, ",", _int), lambda v: ",".join(map(str, v))),
+    "tuple[tuple[int, int, float], ...]": (
+        lambda raw: _items(raw, ";", _triple),
+        lambda v: ";".join(f"{i},{j},{x!r}" for i, j, x in v),
+    ),
 }
+_FIELDS = {f.name: _TYPES[f.type.removesuffix(" | None")] for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _coerce(values: dict, key: str, raw: str, where: str) -> None:
+    """Parse ``raw`` by ``key``'s declared type into ``values``; ``where`` names the source."""
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        values[key] = _FIELDS[key][0](raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -175,10 +164,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _COERCERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _COERCERS[key](raw.strip(), key)
+        _coerce(values, key.strip(), raw, f"line {lineno}")
     return values
 
 
@@ -197,38 +183,17 @@ def build_config(
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _COERCERS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        values[key] = _COERCERS[key](raw.strip(), key)
+        _coerce(values, key.strip(), raw, "--set")
     values["experiment"] = experiment
     if out is not None:
         values["output_path"] = out
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**values)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical flat-text form; parsing it back yields an equal config."""
-    lines = []
-    for f in sorted(dataclasses.fields(ExperimentConfig), key=lambda f: f.name):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        if f.name == "couplings":
-            text = ";".join(f"{i},{j},{repr(v)}" for i, j, v in val)
-        elif isinstance(val, tuple):
-            text = ",".join(repr(x) if isinstance(x, float) else str(x) for x in val)
-        elif isinstance(val, bool):
-            text = "true" if val else "false"
-        elif isinstance(val, float):
-            text = repr(val)
-        else:
-            text = str(val)
-        lines.append(f"{f.name} = {text}")
-    return "\n".join(lines) + "\n"
+    items = ((key, getattr(cfg, key)) for key in sorted(_FIELDS))
+    return "".join(f"{key} = {_FIELDS[key][1](val)}\n" for key, val in items if val is not None)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -238,7 +203,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check required keys per experiment before any computation starts."""
+    """Check required keys per experiment and the ranges used outside :func:`_build_spec`."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.model not in MODELS:
@@ -249,21 +214,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid_points must be >= 3")
     if cfg.j_star <= 0:
         raise ConfigError("j_star must be positive")
-    needs_instance = cfg.experiment in ("gap-trace", "evolve") or (
-        cfg.experiment == "ep-scan" and cfg.model == "ising"
-    )
-    if needs_instance and cfg.model == "ising":
+    if min((cfg.delta0 or 0.0, *(cfg.delta0_list or ()))) < 0:
+        raise ConfigError("delta0 must be non-negative")
+    if cfg.n_qubits is not None and cfg.n_qubits < 0:
+        raise ConfigError("n_qubits must be non-negative")
+    if cfg.delta_qubit is not None and cfg.delta_qubit <= 0:
+        raise ConfigError("delta_qubit must be positive")
+    builds_spec = cfg.experiment in ("gap-trace", "evolve", "ep-scan")
+    if builds_spec and cfg.model == "ising":
         if cfg.n_qubits is None:
             raise ConfigError(f"{cfg.experiment}: ising model needs n_qubits")
         if cfg.seed is None and (cfg.fields is None or cfg.couplings is None):
             raise ConfigError(f"{cfg.experiment}: ising model needs seed or fields+couplings")
-    if (
-        needs_instance
-        and cfg.model == "two-level"
-        and cfg.alpha is None
-        and cfg.cos_alpha is None
-        and cfg.n_qubits is None
-    ):
+    has_angle = cfg.alpha is not None or cfg.cos_alpha is not None or cfg.n_qubits is not None
+    if builds_spec and cfg.model == "two-level" and not has_angle:
         raise ConfigError(f"{cfg.experiment}: two-level model needs alpha, cos_alpha or n_qubits")
     if cfg.experiment == "fig1" and not cfg.delta0_list:
         raise ConfigError("fig1 needs delta0_list")
@@ -304,27 +268,29 @@ def _two_level_alpha(cfg: ExperimentConfig, default_n: int | None = None) -> flo
     if cfg.cos_alpha is not None:
         return float(np.arccos(np.clip(cfg.cos_alpha, -1.0, 1.0)))
     n = cfg.n_qubits if cfg.n_qubits is not None else default_n
-    if n is None:
-        raise ConfigError("two-level model needs alpha, cos_alpha or n_qubits")
     return float(np.arcsin(2.0 ** (-n / 2.0)))
 
 
 def _build_spec(cfg: ExperimentConfig, delta0: float | None = None) -> AnnealSpec:
+    """The config's model as a spec; a value the model builders reject is a config error."""
     d0 = cfg.delta0 if delta0 is None else delta0
     d0 = 0.0 if d0 is None else d0
     tau = cfg.tau if cfg.tau is not None else 1.0
-    if cfg.model == "ising":
-        assert cfg.n_qubits is not None
-        return ising_anneal_spec(
-            cfg.n_qubits,
-            seed=cfg.seed,
-            fields=cfg.fields,
-            couplings=cfg.couplings,
-            delta0=d0,
-            tau=tau,
-            j_star=cfg.j_star,
-        )
-    return two_level_spec(cfg.j_star, d0, _two_level_alpha(cfg), tau)
+    try:
+        if cfg.model == "ising":
+            assert cfg.n_qubits is not None
+            return ising_anneal_spec(
+                cfg.n_qubits,
+                seed=cfg.seed,
+                fields=cfg.fields,
+                couplings=cfg.couplings,
+                delta0=d0,
+                tau=tau,
+                j_star=cfg.j_star,
+            )
+        return two_level_spec(cfg.j_star, d0, _two_level_alpha(cfg), tau)
+    except (ValueError, DuplicateCoupling) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_fig1(cfg: ExperimentConfig) -> str:
@@ -428,18 +394,15 @@ def run_tau_sweep(cfg: ExperimentConfig) -> str:
     """Runtime thresholds of the linear ramp over (n, delta0) pairs."""
     assert cfg.n_list and cfg.delta0_list
     columns = ["n", "delta0", "min_gap", "tau_min", "tau_max", "feasible"]
+    tau_max = None if cfg.delta_qubit is None else 1.0 / cfg.delta_qubit
+    max_text = "" if tau_max is None else fmt(tau_max)
     rows = []
     for n in cfg.n_list:
         for d0 in cfg.delta0_list:
             d0_energy = d0 * cfg.j_star
             gap = nonhermitian_min_gap(cfg.j_star, d0_energy)
-            tau_min = min_time_linear_ramp(n, cfg.j_star, d0_energy)
-            if cfg.delta_qubit is not None:
-                tau_max = 1.0 / cfg.delta_qubit
-                feasible = tau_min < tau_max
-                rows.append([fmt(n), fmt(d0), fmt(gap), fmt(tau_min), fmt(tau_max), fmt(feasible)])
-            else:
-                rows.append([fmt(n), fmt(d0), fmt(gap), fmt(tau_min), "", "true"])
+            budget = AdiabaticBudget(min_time_linear_ramp(n, cfg.j_star, d0_energy), tau_max)
+            rows.append([fmt(n), fmt(d0), fmt(gap), fmt(budget.tau_min), max_text, fmt(budget.feasible)])
     return _write_csv(cfg, columns, rows, [])
 
 
@@ -491,15 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args.experiment, args.config, args.overrides, args.out)
         validate_config(cfg)
+        path = _RUNNERS[cfg.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        path = _RUNNERS[cfg.experiment](cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -1,5 +1,7 @@
 """Config parsing, CSV emission, determinism and exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,11 +70,60 @@ def test_config_round_trip():
         output_path="out.csv",
         couplings=((0, 1, 0.125), (1, 2, -0.7)),
         fields=(0.1, -0.2, 0.3),
+        decaying_driver=True,
+        n_list=(8, 10),
+        delta0_list=(0.0, 1.0, 2.0),
+        tau_list=(1.0, 40.0),
     )
     text = serialize_config(cfg)
     rebuilt = ExperimentConfig(**parse_config_text(text))
     assert rebuilt == cfg
     assert config_hash(rebuilt) == config_hash(cfg)
+
+
+def test_serialize_config_pins_every_key():
+    # every key set, each of the seven field types, int-valued floats and 1e300:
+    # the text and hash below were written by the previous, per-key parser
+    # tables, so every CSV's config_hash header line is unchanged
+    cfg = ExperimentConfig(
+        experiment="gap-trace", model="ising", n_qubits=3, seed=7,
+        fields=(0.1, -0.2, 3.0), couplings=((0, 1, 0.125), (1, 2, -1.0)),
+        j_star=2.0, delta0=0.5, delta0_list=(0.0, 0.25, 1.0), tau=1e300,
+        tau_list=(1.0, 40.0, 0.01), n_list=(8, 10), alpha=0.001, cos_alpha=0.8,
+        delta_qubit=0.05, grid_points=201, output_path="out.csv", tol_evolve=1e-8,
+        decaying_driver=True,
+    )
+    assert serialize_config(cfg) == (
+        "alpha = 0.001\ncos_alpha = 0.8\ncouplings = 0,1,0.125;1,2,-1.0\ndecaying_driver = true\n"
+        "delta0 = 0.5\ndelta0_list = 0.0,0.25,1.0\ndelta_qubit = 0.05\nexperiment = gap-trace\n"
+        "fields = 0.1,-0.2,3.0\ngrid_points = 201\nj_star = 2.0\nmodel = ising\nn_list = 8,10\n"
+        "n_qubits = 3\noutput_path = out.csv\nseed = 7\ntau = 1e+300\ntau_list = 1.0,40.0,0.01\n"
+        "tol_evolve = 1e-08\n"
+    )
+    assert config_hash(cfg) == "a81dcb81a3e18e99"
+    text = "experiment = fig1\ndecaying_driver = yes\nn_list = 8, 10\ndelta0_list = 1, 2\nj_star = 1\n"
+    assert config_hash(ExperimentConfig(**parse_config_text(text + "couplings = 0,1,1; 1,2,-1\n"))) == "dc76bc71e8ab8662"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("grid_points = many", "grid_points: expected an integer, got 'many'"),
+        ("j_star = x", "j_star: expected a float, got 'x'"),
+        ("decaying_driver = maybe", "decaying_driver: expected a boolean, got 'maybe'"),
+        ("n_list = 8, 2.5", "n_list: expected an integer, got '2.5'"),
+        ("fields = ,", "fields: empty list"),
+        ("couplings = 0,1", "couplings: expected 'i,j,J' triples, got '0,1'"),
+        ("experimnt = fig1", "line 1: unknown key 'experimnt'"),
+    ],
+)
+def test_parse_errors_name_the_key(line, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(line)
+    key, _, raw = line.partition(" = ")
+    expected = message.replace("line 1", "--set")
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        build_config("fig1", None, [f"{key}={raw}"])
 
 
 def test_build_config_precedence(tmp_path):
@@ -456,6 +507,31 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "tau-sweep n_list=8 delta0_list=0.5 delta_qubit=0",
+        "tau-sweep n_list=8 delta0_list=-0.5",
+        "fig1 delta0_list=-1",
+        "fig1 delta0_list=0.5 n_qubits=-4",
+        "gap-trace model=ising n_qubits=0 seed=1",
+        "gap-trace model=ising n_qubits=3 seed=1 tau=-1",
+        "gap-trace model=ising n_qubits=3 seed=-1",
+        "gap-trace model=ising n_qubits=3 fields=0.1,0.2 couplings=0,1,0.5",
+        "gap-trace model=ising n_qubits=2 fields=0.1,0.2 couplings=0,1,0.5;0,1,0.3",
+        "ep-scan delta0_list=0.5",  # two-level model with no angle
+    ],
+)
+def test_out_of_range_values_exit_as_config_errors(tmp_path, capsys, case):
+    experiment, *sets = case.split()
+    out = tmp_path / "x.csv"
+    argv = [experiment, *(a for kv in sets for a in ("--set", kv)), "--set", "grid_points=11", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("taus", ["tau_list=10,0", "tau=-1"])
 def test_evolve_rejects_a_non_positive_tau_as_a_config_error(tmp_path, capsys, taus):
     argv = ["evolve", "--set", "model=ising", "--set", "n_qubits=2", "--set", "seed=1", "--set", taus]
@@ -502,6 +578,30 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
     proc_bad = subprocess.run([exe, "fig1", "--out", str(out)], capture_output=True, text=True)
     assert proc_bad.returncode == 2
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # the exit-code contract through a fresh interpreter, with or without the console script
+    import os
+    import subprocess
+    import sys
+
+    import nhaqo
+
+    src = os.path.dirname(os.path.dirname(nhaqo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "cli.csv"
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "nhaqo.cli", *argv], capture_output=True, text=True, env=env)
+
+    ok = run("fig1", "--set", "delta0_list=1", "--set", "grid_points=11", "--out", str(out))
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.strip() == str(out) and out.exists()
+    bad = run("fig1", "--set", "delta0_list=-1", "--out", str(tmp_path / "bad.csv"))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("config error: ") and "Traceback" not in bad.stderr
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_config_file_drives_run(tmp_path):
