@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .adiabatic import (
     AdiabaticBudget,
     min_time_linear_ramp,
-    min_time_nonhermitian,
     tau_window,
 )
 from .evolve import EvolutionResult, evolve, initial_ground_state, success_probability
@@ -73,7 +72,6 @@ __all__ = [
     "linear_schedule",
     "make_anneal_spec",
     "min_time_linear_ramp",
-    "min_time_nonhermitian",
     "min_two_level_gap",
     "nonhermitian_min_gap",
     "project_effective",

@@ -16,7 +16,7 @@ forked child computes that half.  Results are bit-identical to a serial scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,12 +91,13 @@ def measured_matrix_element(spec: AnnealSpec, grid_points: int = 101) -> float:
     return max(0.0, -polished_minima(negated, grid, split_scan(negated, grid, float))[0][1])
 
 
-def min_time_nonhermitian(
+def tau_window(
     spec: AnnealSpec,
     params: TwoLevelParams,
+    delta_qubit: float,
     grid_points: int = 1001,
 ) -> AdiabaticBudget:
-    """Runtime threshold for the reduced non-Hermitian model.
+    """Runtime window tau_min << tau << 1/delta_qubit for the reduced non-Hermitian model.
 
     tau_min = sin(alpha)_eff * max|J dg~/ds - g~ dJ/ds| / gap_min^3, where
     sin(alpha)_eff is the 2^(-n/2) estimate for n >= 2 qubits and the
@@ -107,9 +108,13 @@ def min_time_nonhermitian(
 
     Raises
     ------
+    ValueError
+        If ``delta_qubit`` is not positive.
     ZeroGap
         If the reduced-model minimum gap is numerically zero.
     """
+    if delta_qubit <= 0:
+        raise ValueError("delta_qubit must be positive")
     sched = spec.schedule
     n = spec.n_qubits
     sin_eff = 2.0 ** (-n / 2.0) if n >= 2 else params.sin_alpha
@@ -120,21 +125,10 @@ def min_time_nonhermitian(
         raise ZeroGap(f"reduced-model gap {gap_min:.3e} is numerically zero")
     return AdiabaticBudget(
         tau_min=float(sin_eff * flux / gap_min**3),
+        tau_max=1.0 / delta_qubit,
+        delta_qubit=float(delta_qubit),
         measured_matrix_element=measured_matrix_element(spec),
     )
-
-
-def tau_window(
-    spec: AnnealSpec,
-    params: TwoLevelParams,
-    delta_qubit: float,
-    grid_points: int = 1001,
-) -> AdiabaticBudget:
-    """Runtime window tau_min << tau << 1/delta_qubit; ``grid_points`` as in :func:`min_time_nonhermitian`."""
-    if delta_qubit <= 0:
-        raise ValueError("delta_qubit must be positive")
-    budget = min_time_nonhermitian(spec, params, grid_points)
-    return replace(budget, tau_max=1.0 / delta_qubit, delta_qubit=float(delta_qubit))
 
 
 def min_time_linear_ramp(n_qubits: int, j_star: float, delta0: float) -> float:

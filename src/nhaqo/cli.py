@@ -17,11 +17,9 @@ Schema (keys, all optional unless an experiment requires them)::
     j_star       = float      driver energy scale (default 1)
     delta0       = float      decay weight, units of j_star
     delta0_list  = comma floats
-    tau          = float
-    tau_list     = comma floats
-    n_list       = comma ints (tau-sweep)
+    tau_list     = comma floats          total times (evolve)
+    n_list       = comma ints            qubit counts (tau-sweep)
     alpha        = float      two-level mixing angle, radians
-    cos_alpha    = float      fig1 override for the angle
     delta_qubit  = float      qubit level width (tau-sweep upper bound)
     grid_points  = int        s-grid resolution (default 1001)
     output_path  = path       (--out overrides)
@@ -32,9 +30,9 @@ Each key's parser and canonical text come from its type in
 :class:`ExperimentConfig`.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
-An unknown key, an unparsable value or a value the library rejects (say a
-negative decay, a non-positive tau or a field list of the wrong length)
-exits 2 before any CSV is written.
+An unknown key, an unparsable or non-finite value, or a value out of range
+(say a negative decay, a non-positive tau or a field list of the wrong
+length) exits 2 before any CSV is written.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -61,6 +60,13 @@ from .spectrum import EP_GAP_FACTOR, detect_exceptional_point, trace_gap
 
 EXPERIMENTS = ("fig1", "gap-trace", "evolve", "tau-sweep", "ep-scan")
 MODELS = ("two-level", "ising")
+#: the list keys each experiment runs over
+_REQUIRED_LISTS = {
+    "fig1": ("delta0_list",),
+    "evolve": ("tau_list",),
+    "tau-sweep": ("delta0_list", "n_list"),
+    "ep-scan": ("delta0_list",),
+}
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,9 @@ class ExperimentConfig:
     j_star: float = 1.0
     delta0: float | None = None
     delta0_list: tuple[float, ...] | None = None
-    tau: float | None = None
     tau_list: tuple[float, ...] | None = None
     n_list: tuple[int, ...] | None = None
     alpha: float | None = None
-    cos_alpha: float | None = None
     delta_qubit: float | None = None
     grid_points: int = 1001
     output_path: str | None = None
@@ -111,7 +115,15 @@ def _parser(convert, expected: str):
 
 
 _int = _parser(int, "an integer")
-_float = _parser(float, "a float")
+_any_float = _parser(float, "a float")
+
+
+def _float(raw: str) -> float:
+    """A finite float: nan and +-inf are rejected like unparsable text."""
+    value = _any_float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite float, got {raw!r}")
+    return value
 
 
 def _items(raw: str, sep: str, parse) -> tuple:
@@ -214,31 +226,29 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid_points must be >= 3")
     if cfg.j_star <= 0:
         raise ConfigError("j_star must be positive")
+    if cfg.tol_evolve <= 0:
+        raise ConfigError("tol_evolve must be positive")
     if min((cfg.delta0 or 0.0, *(cfg.delta0_list or ()))) < 0:
         raise ConfigError("delta0 must be non-negative")
     if cfg.n_qubits is not None and cfg.n_qubits < 0:
         raise ConfigError("n_qubits must be non-negative")
     if cfg.delta_qubit is not None and cfg.delta_qubit <= 0:
         raise ConfigError("delta_qubit must be positive")
+    if min(cfg.n_list or (1,)) < 1:
+        raise ConfigError("n_list entries must be >= 1")
     builds_spec = cfg.experiment in ("gap-trace", "evolve", "ep-scan")
     if builds_spec and cfg.model == "ising":
         if cfg.n_qubits is None:
             raise ConfigError(f"{cfg.experiment}: ising model needs n_qubits")
         if cfg.seed is None and (cfg.fields is None or cfg.couplings is None):
             raise ConfigError(f"{cfg.experiment}: ising model needs seed or fields+couplings")
-    has_angle = cfg.alpha is not None or cfg.cos_alpha is not None or cfg.n_qubits is not None
-    if builds_spec and cfg.model == "two-level" and not has_angle:
-        raise ConfigError(f"{cfg.experiment}: two-level model needs alpha, cos_alpha or n_qubits")
-    if cfg.experiment == "fig1" and not cfg.delta0_list:
-        raise ConfigError("fig1 needs delta0_list")
-    if cfg.experiment == "evolve" and not cfg.tau_list and cfg.tau is None:
-        raise ConfigError("evolve needs tau or tau_list")
-    if cfg.experiment == "evolve" and min(cfg.tau_list or (cfg.tau,)) <= 0:
+    if builds_spec and cfg.model == "two-level" and cfg.alpha is None and cfg.n_qubits is None:
+        raise ConfigError(f"{cfg.experiment}: two-level model needs alpha or n_qubits")
+    required = _REQUIRED_LISTS.get(cfg.experiment, ())
+    if not all(getattr(cfg, key) for key in required):
+        raise ConfigError(f"{cfg.experiment} needs {' and '.join(required)}")
+    if cfg.experiment == "evolve" and min(cfg.tau_list) <= 0:
         raise ConfigError("evolve needs positive taus")
-    if cfg.experiment == "tau-sweep" and (not cfg.delta0_list or not cfg.n_list):
-        raise ConfigError("tau-sweep needs delta0_list and n_list")
-    if cfg.experiment == "ep-scan" and not cfg.delta0_list and cfg.delta0 is None:
-        raise ConfigError("ep-scan needs delta0 or delta0_list")
 
 
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
@@ -265,17 +275,14 @@ def _write_csv(cfg: ExperimentConfig, columns: list[str], rows: list[list[str]],
 def _two_level_alpha(cfg: ExperimentConfig, default_n: int | None = None) -> float:
     if cfg.alpha is not None:
         return cfg.alpha
-    if cfg.cos_alpha is not None:
-        return float(np.arccos(np.clip(cfg.cos_alpha, -1.0, 1.0)))
     n = cfg.n_qubits if cfg.n_qubits is not None else default_n
     return float(np.arcsin(2.0 ** (-n / 2.0)))
 
 
 def _build_spec(cfg: ExperimentConfig, delta0: float | None = None) -> AnnealSpec:
-    """The config's model as a spec; a value the model builders reject is a config error."""
+    """The config's model as a spec of tau 1 (evolve sets each tau); a value the builders reject is a config error."""
     d0 = cfg.delta0 if delta0 is None else delta0
     d0 = 0.0 if d0 is None else d0
-    tau = cfg.tau if cfg.tau is not None else 1.0
     try:
         if cfg.model == "ising":
             assert cfg.n_qubits is not None
@@ -285,10 +292,9 @@ def _build_spec(cfg: ExperimentConfig, delta0: float | None = None) -> AnnealSpe
                 fields=cfg.fields,
                 couplings=cfg.couplings,
                 delta0=d0,
-                tau=tau,
                 j_star=cfg.j_star,
             )
-        return two_level_spec(cfg.j_star, d0, _two_level_alpha(cfg), tau)
+        return two_level_spec(cfg.j_star, d0, _two_level_alpha(cfg))
     except (ValueError, DuplicateCoupling) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -357,8 +363,8 @@ def run_evolve(cfg: ExperimentConfig) -> str:
     config.  Integration failures (``_EVOLVE_ERRORS``) are reported per row
     and do not abort the sweep.
     """
-    taus = cfg.tau_list if cfg.tau_list else (cfg.tau,)
-    assert taus and taus[0] is not None
+    taus = cfg.tau_list
+    assert taus
     spec = _build_spec(cfg)
     initial = initial_ground_state(spec)
 
@@ -408,11 +414,10 @@ def run_tau_sweep(cfg: ExperimentConfig) -> str:
 
 def run_ep_scan(cfg: ExperimentConfig) -> str:
     """Exceptional-point search over a list of decay strengths: one gap trace each."""
-    deltas = cfg.delta0_list if cfg.delta0_list else (cfg.delta0,)
-    assert deltas and deltas[0] is not None
+    assert cfg.delta0_list
     columns = ["delta0", "detected", "s", "gap", "overlap"]
     rows = []
-    for d0 in deltas:
+    for d0 in cfg.delta0_list:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleMinimaWarning)  # ep-scan reports no crossover
             trace = trace_gap(_build_spec(cfg, delta0=d0), cfg.grid_points)

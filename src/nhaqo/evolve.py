@@ -246,8 +246,10 @@ def evolve(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError("initial state must be unit-normalized")
     tau = float(spec.tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if samples < 2:
         raise ValueError("samples must be >= 2")
 

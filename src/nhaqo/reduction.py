@@ -94,11 +94,10 @@ def build_crossover_basis(spec: AnnealSpec, s_c: float) -> TwoLevelBasis:
     if es.defect_flags.any():
         raise DefectiveAtCrossover(f"lowest eigenpair coalesced at s={s_c:.6g}")
     v0 = es.right_vectors[:, 0]
+    # |w| bounds pair 0's unit left-right overlap from above, so the defect flag has
+    # already refused any w shorter than DEFECT_TOLERANCE
     w = es.right_vectors[:, 1] - np.vdot(v0, es.right_vectors[:, 1]) * v0
-    wn = float(np.linalg.norm(w))
-    if wn < 1e-8:
-        raise DefectiveAtCrossover(f"lowest eigenvectors parallel at s={s_c:.6g}")
-    v1 = w / wn
+    v1 = w / float(np.linalg.norm(w))
     # deterministic phases: largest entry real-positive
     for v in (v0, v1):
         k = int(np.argmax(np.abs(v)))

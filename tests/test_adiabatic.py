@@ -10,7 +10,6 @@ from nhaqo.adiabatic import (
     _max_drive_flux,
     measured_matrix_element,
     min_time_linear_ramp,
-    min_time_nonhermitian,
     schedule_rates,
     tau_window,
 )
@@ -120,7 +119,7 @@ def test_min_time_nonhermitian_two_level():
     spec = two_level_spec(1.0, 1.0, alpha)
     basis = build_crossover_basis(spec, 0.5)
     params = decompose_schedule_params(spec, basis)
-    budget = min_time_nonhermitian(spec, params, grid_points=501)
+    budget = tau_window(spec, params, delta_qubit=1e-12, grid_points=501)
     gap = nonhermitian_min_gap(1.0, 1.0)
     expect = np.sin(alpha) * np.sqrt(2.0) / gap**3
     assert budget.tau_min == pytest.approx(expect, rel=1e-3)

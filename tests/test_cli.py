@@ -1,11 +1,14 @@
 """Config parsing, CSV emission, determinism and exit codes."""
 
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _reference import FULL_MODEL_EPS
+import nhaqo.cli
 from nhaqo.cli import (
     ExperimentConfig,
     build_config,
@@ -65,7 +68,6 @@ def test_config_round_trip():
         n_qubits=3,
         seed=7,
         delta0=0.5,
-        tau=2.0,
         grid_points=301,
         output_path="out.csv",
         couplings=((0, 1, 0.125), (1, 2, -0.7)),
@@ -82,25 +84,25 @@ def test_config_round_trip():
 
 
 def test_serialize_config_pins_every_key():
-    # every key set, each of the seven field types, int-valued floats and 1e300:
-    # the text and hash below were written by the previous, per-key parser
-    # tables, so every CSV's config_hash header line is unchanged
+    # every key set, each of the seven field types and int-valued floats: the
+    # text and hash below are those of the previous parser, so every CSV's
+    # config_hash header line is unchanged
     cfg = ExperimentConfig(
         experiment="gap-trace", model="ising", n_qubits=3, seed=7,
         fields=(0.1, -0.2, 3.0), couplings=((0, 1, 0.125), (1, 2, -1.0)),
-        j_star=2.0, delta0=0.5, delta0_list=(0.0, 0.25, 1.0), tau=1e300,
-        tau_list=(1.0, 40.0, 0.01), n_list=(8, 10), alpha=0.001, cos_alpha=0.8,
+        j_star=2.0, delta0=0.5, delta0_list=(0.0, 0.25, 1.0),
+        tau_list=(1.0, 40.0, 0.01), n_list=(8, 10), alpha=0.001,
         delta_qubit=0.05, grid_points=201, output_path="out.csv", tol_evolve=1e-8,
         decaying_driver=True,
     )
     assert serialize_config(cfg) == (
-        "alpha = 0.001\ncos_alpha = 0.8\ncouplings = 0,1,0.125;1,2,-1.0\ndecaying_driver = true\n"
+        "alpha = 0.001\ncouplings = 0,1,0.125;1,2,-1.0\ndecaying_driver = true\n"
         "delta0 = 0.5\ndelta0_list = 0.0,0.25,1.0\ndelta_qubit = 0.05\nexperiment = gap-trace\n"
         "fields = 0.1,-0.2,3.0\ngrid_points = 201\nj_star = 2.0\nmodel = ising\nn_list = 8,10\n"
-        "n_qubits = 3\noutput_path = out.csv\nseed = 7\ntau = 1e+300\ntau_list = 1.0,40.0,0.01\n"
+        "n_qubits = 3\noutput_path = out.csv\nseed = 7\ntau_list = 1.0,40.0,0.01\n"
         "tol_evolve = 1e-08\n"
     )
-    assert config_hash(cfg) == "a81dcb81a3e18e99"
+    assert config_hash(cfg) == "0f01ff839cabb2c9"
     text = "experiment = fig1\ndecaying_driver = yes\nn_list = 8, 10\ndelta0_list = 1, 2\nj_star = 1\n"
     assert config_hash(ExperimentConfig(**parse_config_text(text + "couplings = 0,1,1; 1,2,-1\n"))) == "dc76bc71e8ab8662"
 
@@ -115,6 +117,11 @@ def test_serialize_config_pins_every_key():
         ("fields = ,", "fields: empty list"),
         ("couplings = 0,1", "couplings: expected 'i,j,J' triples, got '0,1'"),
         ("experimnt = fig1", "line 1: unknown key 'experimnt'"),
+        ("tau = 5", "line 1: unknown key 'tau'"),
+        ("cos_alpha = 0.8", "line 1: unknown key 'cos_alpha'"),
+        ("tau_list = 10, inf", "tau_list: expected a finite float, got 'inf'"),
+        ("delta0 = nan", "delta0: expected a finite float, got 'nan'"),
+        ("couplings = 0,1,-inf", "couplings: expected a finite float, got '-inf'"),
     ],
 )
 def test_parse_errors_name_the_key(line, message):
@@ -389,7 +396,7 @@ def test_evolve_row_survives_a_norm_below_the_float_range(tmp_path):
     # at tau 5000 the decaying run's norm falls below the float range; the row
     # still reads ok, with a probability from the unit state and final_norm 0
     out = tmp_path / "evolve.csv"
-    sets = ["model=ising", "n_qubits=2", "seed=1", "delta0=2", "decaying_driver=true", "tau=5000"]
+    sets = ["model=ising", "n_qubits=2", "seed=1", "delta0=2", "decaying_driver=true", "tau_list=5000"]
     assert main(["evolve", *[a for kv in sets for a in ("--set", kv)], "--out", str(out)]) == 0
     _, p, norm, steps, status = data_rows(read(str(out)))[1].split(",")
     assert status == "ok"
@@ -515,11 +522,18 @@ def test_exit_code_config_error(tmp_path, capsys):
         "fig1 delta0_list=-1",
         "fig1 delta0_list=0.5 n_qubits=-4",
         "gap-trace model=ising n_qubits=0 seed=1",
-        "gap-trace model=ising n_qubits=3 seed=1 tau=-1",
+        "gap-trace model=ising n_qubits=3 seed=1 tau=-1",  # tau is not a key: runtimes are tau_list
         "gap-trace model=ising n_qubits=3 seed=-1",
         "gap-trace model=ising n_qubits=3 fields=0.1,0.2 couplings=0,1,0.5",
         "gap-trace model=ising n_qubits=2 fields=0.1,0.2 couplings=0,1,0.5;0,1,0.3",
         "ep-scan delta0_list=0.5",  # two-level model with no angle
+        "ep-scan delta0=0.5 alpha=0.3",  # no delta0_list
+        "evolve model=ising n_qubits=2 seed=1 tau_list=inf",
+        "evolve model=ising n_qubits=2 seed=1 tau_list=nan",
+        "evolve model=ising n_qubits=2 seed=1 tau_list=1 tol_evolve=-1",
+        "gap-trace model=ising n_qubits=2 seed=1 delta0=nan",
+        "fig1 delta0_list=inf",
+        "tau-sweep n_list=-4,0 delta0_list=0.5",
     ],
 )
 def test_out_of_range_values_exit_as_config_errors(tmp_path, capsys, case):
@@ -532,7 +546,7 @@ def test_out_of_range_values_exit_as_config_errors(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("taus", ["tau_list=10,0", "tau=-1"])
+@pytest.mark.parametrize("taus", ["tau_list=10,0", "tau_list=-1"])
 def test_evolve_rejects_a_non_positive_tau_as_a_config_error(tmp_path, capsys, taus):
     argv = ["evolve", "--set", "model=ising", "--set", "n_qubits=2", "--set", "seed=1", "--set", taus]
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -614,3 +628,12 @@ def test_config_file_drives_run(tmp_path):
     code = main(["fig1", "--config", str(conf)])
     assert code == 0
     assert (tmp_path / "from_file.csv").exists()
+
+
+def test_docs_name_exactly_the_config_keys():
+    # README's Keys list and the module docstring's schema against the one declaration
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert re.findall(r"^    (\w+) +=", nhaqo.cli.__doc__, re.M) == keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("\nKeys: ", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", listed)) == keys

@@ -196,6 +196,13 @@ def test_evolve_rejects_unnormalized_initial():
         evolve(spec, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("tau, tol", [(np.inf, 1e-10), (np.nan, 1e-10), (1.0, 0.0), (1.0, -1.0)])
+def test_evolve_rejects_a_non_finite_tau_or_a_non_positive_tol(tau, tol):
+    spec = dataclasses.replace(two_level_spec(1.0, 0.0, 0.4), tau=tau)
+    with pytest.raises(ValueError):
+        evolve(spec, initial_ground_state(spec), tol=tol)
+
+
 def test_step_underflow_on_impossible_tolerance():
     spec = two_level_spec(1.0, 0.0, 0.4, tau=1.0)
     with pytest.raises(StepUnderflow):
@@ -521,7 +528,7 @@ def test_evolve_n10_peak_memory(tmp_path):
         "import sys, nhaqo.cli; rc = nhaqo.cli.main(sys.argv[1:]); "
         "print(rc, *[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')])"
     )
-    sets = ["model=ising", "n_qubits=10", "seed=1", "delta0=0.5", "decaying_driver=true", "tau=10"]
+    sets = ["model=ising", "n_qubits=10", "seed=1", "delta0=0.5", "decaying_driver=true", "tau_list=10"]
     argv = [arg for item in sets for arg in ("--set", item)] + ["--out", str(tmp_path / "e.csv")]
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run(

@@ -8,17 +8,19 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import biorthonormal_eigensystem, hermitian_defect, is_hermitian
+from _reference import FULL_MODEL_EPS, biorthonormal_eigensystem, hermitian_defect, is_hermitian
 from nhaqo.errors import DefectiveSystem
 from nhaqo.linalg import (
     EigenSystem,
     _fix_column_phases,
+    _sorted_unit_eig,
+    _unit_inverse_rows,
     biorthonormalize,
     eig_nonhermitian,
     lowest_pair_eigensystem,
     maxnorm,
 )
-from nhaqo.model import ising_anneal_spec, total_hamiltonian
+from nhaqo.model import ising_anneal_spec, total_hamiltonian, two_level_spec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -318,3 +320,46 @@ def test_lowest_pair_matches_the_full_eigensystem(m):
     keep = ~low.defect_flags
     ov = low.left_vectors @ low.right_vectors
     assert np.allclose(ov[np.ix_(keep, keep)], np.eye(int(keep.sum())), rtol=0, atol=1e-12)
+
+
+def _near_jordan(seed, n, k):
+    """A 2x2 Jordan block at the bottom of a random n x n spectrum, in a random basis, perturbed by 10^-k."""
+    rng = np.random.default_rng(seed)
+    t = np.diag(np.concatenate(([-5.0, -5.0], rng.uniform(0.0, 5.0, n - 2)))).astype(complex)
+    t[0, 1] = 1.0
+    p = random_complex(rng, n)
+    return p @ t @ np.linalg.inv(p) + 10.0**-k * random_complex(rng, n)
+
+
+def _two_level_ep():
+    return total_hamiltonian(two_level_spec(1.0, 0.75, float(np.arccos(0.8))), 5.0 / 9.0)
+
+
+def _full_model_ep(n):
+    delta_star, s_star = FULL_MODEL_EPS[(n, 1)]
+    return total_hamiltonian(ising_anneal_spec(n, seed=1, delta0=delta_star), s_star)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.one_of(
+        st.builds(lambda seed, n: random_complex(np.random.default_rng(seed), n), st.integers(0, 10_000), st.integers(2, 12)),
+        st.builds(_near_jordan, st.integers(0, 10_000), st.integers(2, 10), st.integers(2, 16)),
+    )
+)
+@example(m=[[0, 1], [1e-14, 0]])
+@example(m=[[0, 1], [0, 0]])  # 2x2 Jordan block
+@example(m=np.diag([1.0, 1.0], 1))  # 3x3 nilpotent block: right vectors exactly singular
+@example(m=_near_jordan(1, 8, 12))
+@example(m=_near_jordan(2, 4, 16))
+@example(m=_two_level_ep())
+@example(m=_full_model_ep(4))
+@example(m=_full_model_ep(6))
+def test_lowest_pair_overlap_is_at_most_the_distance_between_its_right_vectors(m):
+    # pair 0's unit overlap is the distance from r_0 to the span of the other
+    # right vectors, so at most |r_1 - <r_0|r_1> r_0|: a pair too close to
+    # orthonormalize is flagged as coalesced first
+    _, right = _sorted_unit_eig(m)
+    _, overlaps = _unit_inverse_rows(right, 2)
+    r0, r1 = right[:, 0], right[:, 1]
+    assert overlaps[0] <= np.linalg.norm(r1 - np.vdot(r0, r1) * r0) + 1e-12

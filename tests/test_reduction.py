@@ -6,14 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from _reference import dense_spec
+from _reference import FULL_MODEL_EPS, dense_spec
 from nhaqo.errors import DefectiveAtCrossover, DegenerateSchedule, ZeroBlochVector
+from nhaqo.linalg import lowest_pair_eigensystem
 from nhaqo.model import (
     PAULI_X,
     PAULI_Z,
     ising_anneal_spec,
     linear_schedule,
     make_anneal_spec,
+    total_hamiltonian,
     two_level_spec,
 )
 from nhaqo.reduction import (
@@ -144,6 +146,16 @@ def test_crossover_basis_defective_at_ep():
     spec = two_level_spec(1.0, 0.75, alpha)
     with pytest.raises(DefectiveAtCrossover):
         build_crossover_basis(spec, 5.0 / 9.0)
+    # at the full-model EPs both pairs are flagged while |r_1 - <r_0|r_1> r_0|
+    # is ~1e-7: the defect flag alone refuses them
+    for (n, seed), (delta_star, s_star) in FULL_MODEL_EPS.items():
+        spec = ising_anneal_spec(n, seed=seed, delta0=delta_star)
+        es = lowest_pair_eigensystem(total_hamiltonian(spec, s_star))
+        r0, r1 = es.right_vectors.T
+        assert es.defect_flags.all()
+        assert np.linalg.norm(r1 - np.vdot(r0, r1) * r0) > 1e-8
+        with pytest.raises(DefectiveAtCrossover):
+            build_crossover_basis(spec, s_star)
 
 
 def test_gap_formula_exact_degeneracy():
